@@ -47,37 +47,69 @@ object DeepER {
       seed: Long,
       candidatesPerNeg: Int = 5,
   ): (IndexedSeq[LabeledPair], Double) = {
-    require(matches.nonEmpty, "no gold matches")
+    require(matches.nonEmpty, "samplePairs: no gold matches; the sampling threshold is the minimum matched cosine")
     val threshold = matches.map { case (a, b) => Similarity.tupleCosine(vecsA(a), vecsB(b)) }.min
-    val idsA = vecsA.keys.toIndexedSeq.sorted
-    val idsB = vecsB.keys.toIndexedSeq.sorted
+    val idsA = vecsA.keys.toArray.sorted
+    val idsB = vecsB.keys.toArray.sorted
+    // DRs and whole-tuple norms by position in idsA / idsB, computed once.
+    val drA = idsA.map(vecsA); val normA = drA.map(Similarity.tupleNorm)
+    val drB = idsB.map(vecsB); val normB = drB.map(Similarity.tupleNorm)
     val gold = matches.toSet
     val rng = new scala.util.Random(seed)
     val pos = matches.map { case (a, b) => LabeledPair(a, b, 1.0) }
     val neg = matches.flatMap { case (a, b) =>
+      val va = vecsA(a); val na = Similarity.tupleNorm(va)
+      val vb = vecsB(b); val nb = Similarity.tupleNorm(vb)
       (1 to negRatio).map { _ =>
         var best: (Long, Long) = null
         var bestSim = Double.NegativeInfinity
         (1 to candidatesPerNeg).foreach { _ =>
-          val cand =
-            if (rng.nextBoolean()) (a, idsB(rng.nextInt(idsB.size)))
-            else (idsA(rng.nextInt(idsA.size)), b)
+          val replaceB = rng.nextBoolean()
+          val i = rng.nextInt(if (replaceB) idsB.length else idsA.length)
+          val cand = if (replaceB) (a, idsB(i)) else (idsA(i), b)
           if (!gold(cand)) {
-            val sim = Similarity.tupleCosine(vecsA(cand._1), vecsB(cand._2))
+            val sim =
+              if (replaceB) Similarity.tupleCosine(va, na, drB(i), normB(i))
+              else Similarity.tupleCosine(drA(i), normA(i), vb, nb)
             if (sim < threshold && sim > bestSim) { best = cand; bestSim = sim }
           }
         }
         // All draws rejected: accept any non-gold pair — in the synthetic
-        // world every non-gold pair really is a non-duplicate.
+        // world every non-gold pair really is a non-duplicate. The draws are
+        // bounded: when every pair in A×B is gold, none exists.
         if (best == null) {
-          var cand = (idsA(rng.nextInt(idsA.size)), b)
-          while (gold(cand)) cand = (idsA(rng.nextInt(idsA.size)), idsB(rng.nextInt(idsB.size)))
+          var cand = (idsA(rng.nextInt(idsA.length)), b)
+          var draws = 1
+          while (gold(cand)) {
+            if (draws >= MaxFallbackDraws)
+              throw new IllegalArgumentException(
+                s"samplePairs: no non-gold pair in $MaxFallbackDraws draws from ${idsA.length} x ${idsB.length} " +
+                  s"tuples with ${gold.size} gold matches; negative sampling needs pairs that are not matches")
+            cand = (idsA(rng.nextInt(idsA.length)), idsB(rng.nextInt(idsB.length)))
+            draws += 1
+          }
           best = cand
         }
         LabeledPair(best._1, best._2, 0.0)
       }
     }
     ((pos ++ neg), threshold)
+  }
+
+  /** Fallback draws before [[samplePairs]] gives up. A draw is gold with
+    * probability (gold pairs) / |A×B|, so the bound is only reached, short
+    * of vanishing odds, when almost every pair in A×B is a match.
+    */
+  private val MaxFallbackDraws = 1 << 20
+
+  /** Gold matches of a dataset as (idA, idB), collected to the driver. Fails
+    * with the dataset's name when there are none: the DeepER protocol
+    * (sampling threshold, stratified folds, recall) needs at least one.
+    */
+  def goldMatches(ds: ERDataset): IndexedSeq[(Long, Long)] = {
+    val matches = ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
+    require(matches.nonEmpty, s"dataset ${ds.name} has no gold matches; DeepER needs at least one to train and evaluate")
+    matches
   }
 
   private def applyTrainKnobs(train: Seq[Int], labels: IndexedSeq[Double], cfg: Config): (Seq[Int], IndexedSeq[Double]) = {
@@ -139,9 +171,9 @@ object DeepER {
     * classification head is trained per fold.
     */
   def runAvg(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, cfg: Config = Config()): Seq[PRF] = {
+    val matches = goldMatches(ds)
     val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
     val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
-    val matches = ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
     val (pairs, _) = samplePairs(matches, vecsA, vecsB, cfg.negRatio, cfg.seed)
     val feats = pairs.map(p => Similarity.cosineVector(vecsA(p.a), vecsB(p.b)))
     val labels = pairs.map(_.label)
@@ -195,9 +227,9 @@ object DeepER {
       trainEmbeddings: Boolean,
       cfg: Config = Config(negRatio = 4),
   ): Seq[PRF] = {
+    val matches = goldMatches(ds)
     val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
     val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
-    val matches = ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
     val (pairs, _) = samplePairs(matches, vecsA, vecsB, cfg.negRatio, cfg.seed)
 
     val vocab = corpusVocab(spark, ds)

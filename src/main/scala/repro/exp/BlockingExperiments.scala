@@ -56,10 +56,10 @@ object BlockingExperiments {
       cfg: DeepER.Config = DeepER.Config(folds = 1, epochs = 15),
       maxTrainNeg: Int = 30000,
   ): Seq[(Int, Int, Double, Double)] = {
+    val matches = DeepER.goldMatches(p.ds)
     val dict = Dicts.gloveLike(p.ds.forms)
     val vecsA = TupleEmbedder.collectAvgVectors(spark, p.ds.tableA, p.ds.attrs, dict)
     val vecsB = TupleEmbedder.collectAvgVectors(spark, p.ds.tableB, p.ds.attrs, dict)
-    val matches = p.ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
     val gold = matches.toSet
 
     // Train on negatives drawn from the *blocked candidate* distribution

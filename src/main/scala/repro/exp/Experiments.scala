@@ -37,9 +37,9 @@ object Experiments {
   )
 
   def prepare(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, negRatio: Int, seed: Long = 7): Prepared = {
+    val matches = DeepER.goldMatches(ds)
     val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
     val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
-    val matches = ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
     val (pairs, _) = DeepER.samplePairs(matches, vecsA, vecsB, negRatio, seed)
     val feats = pairs.map(p => Similarity.cosineVector(vecsA(p.a), vecsB(p.b)))
     Prepared(ds, vecsA, vecsB, pairs, feats, pairs.map(_.label))

@@ -39,7 +39,10 @@ final class Adam(lr: Double = 0.01, beta1: Double = 0.9, beta2: Double = 0.999, 
     t += 1
     val bc1 = 1.0 - math.pow(beta1, t)
     val bc2 = 1.0 - math.pow(beta2, t)
-    slots.foreach { s =>
+    var rest = slots // a while loop, not foreach: no closure per step
+    while (rest.nonEmpty) {
+      val s = rest.head
+      rest = rest.tail
       val a = lr * s.lrScale
       val wd = if (s.decay) l2 else 0.0
       var i = 0

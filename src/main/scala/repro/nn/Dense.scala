@@ -7,7 +7,7 @@ sealed trait Activation extends Serializable {
   def dfFromOut(y: Double): Double
 }
 case object Tanh extends Activation {
-  def f(x: Double): Double = math.tanh(x)
+  def f(x: Double): Double = Linalg.tanh(x)
   def dfFromOut(y: Double): Double = 1.0 - y * y
 }
 case object ReLU extends Activation {

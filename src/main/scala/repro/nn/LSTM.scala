@@ -70,7 +70,7 @@ object LSTM {
       var k = 0
       while (k < H) {
         c(k) = g(H + k) * cPrev(k) + g(k) * g(2 * H + k)
-        h(k) = g(3 * H + k) * math.tanh(c(k))
+        h(k) = g(3 * H + k) * Linalg.tanh(c(k))
         k += 1
       }
       gates(t) = g; cs(t) = c; hs(t) = h
@@ -106,7 +106,7 @@ object LSTM {
       var k = 0
       while (k < H) {
         val i = g(k); val f = g(H + k); val gg = g(2 * H + k); val o = g(3 * H + k)
-        val tc = math.tanh(c(k))
+        val tc = Linalg.tanh(c(k))
         val dck = dc(k) + dh(k) * o * (1.0 - tc * tc)
         da(k)         = dck * gg * i * (1.0 - i)        // input gate
         da(H + k)     = dck * cPrev(k) * f * (1.0 - f)  // forget gate

@@ -264,24 +264,43 @@ final class DeepERNet(
   }
 }
 
-/** Plain MLP head (simDim → hidden → sigmoid) over *precomputed* similarity
-  * vectors. With frozen embeddings and averaging composition the tuple DRs
-  * and similarity vectors are constants, so Table-4-style experiments train
-  * this head directly — same math as [[DeepERNet]]'s classification stage,
-  * orders of magnitude faster.
+/** Plain MLP head (simDim → hidden tanh units → sigmoid) over *precomputed*
+  * similarity vectors. With frozen embeddings and averaging composition the
+  * tuple DRs and similarity vectors are constants, so Table-4-style
+  * experiments train this head directly — same math as [[DeepERNet]]'s
+  * classification stage, orders of magnitude faster.
+  *
+  * Training is one fused loop over the weight arrays: buffers are allocated
+  * once per `fit`, nothing per example or per batch. Every sum runs in the
+  * order of the [[Dense]]-layer formulation (dot product from 0.0, then
+  * the bias), so results are bit-identical to it. `predictProb` only reads
+  * the weights and allocates nothing, so one instance may score from many
+  * threads at once (the broadcast scoring UDF does).
   */
 final class MLPClassifier(val inDim: Int, val hidden: Int = 50, seed: Long = 42) extends Serializable {
-  private val dense1 = new DenseParams(inDim, hidden, Tanh, seed)
-  private val dense2 = new DenseParams(hidden, 1, Identity, seed + 1)
-  private val d1G = dense1.zeroGrads
-  private val d2G = dense2.zeroGrads
+  private val w1: Array[Double] = Mat.glorot(hidden, inDim, seed).data // row-major hidden x inDim
+  private val b1: Array[Double] = new Array[Double](hidden)
+  private val w2: Array[Double] = Mat.glorot(1, hidden, seed + 1).data
+  private val b2: Array[Double] = new Array[Double](1)
 
-  def predictProb(x: Array[Double]): Double = {
-    val t1 = Dense.forward(dense1, x)
-    val t2 = Dense.forward(dense2, t1.y)
-    Linalg.sigmoid(t2.y(0))
+  /** Pre-activation of hidden unit `r`: (W1 x)(r) + b1(r). */
+  private def preact(x: Array[Double], r: Int): Double = {
+    val off = r * inDim
+    var s = 0.0; var c = 0
+    while (c < inDim) { s += w1(off + c) * x(c); c += 1 }
+    s + b1(r)
   }
 
+  def predictProb(x: Array[Double]): Double = {
+    require(x.length == inDim, s"predictProb: expected $inDim features, got ${x.length}")
+    var z = 0.0; var r = 0
+    while (r < hidden) { z += w2(r) * Linalg.tanh(preact(x, r)); r += 1 }
+    Linalg.sigmoid(z + b2(0))
+  }
+
+  /** Mini-batch Adam with BCE loss and L2 weight decay; deterministic in
+    * `seed`. Returns the mean loss of each epoch.
+    */
   def fit(
       xs: IndexedSeq[Array[Double]],
       ys: IndexedSeq[Double],
@@ -292,28 +311,83 @@ final class MLPClassifier(val inDim: Int, val hidden: Int = 50, seed: Long = 42)
       seed: Long = 7,
   ): Seq[Double] = {
     require(xs.length == ys.length)
+    require(batchSize > 0, s"batchSize must be positive, got $batchSize")
+    xs.foreach(x => require(x.length == inDim, s"fit: expected $inDim features, got ${x.length}"))
+    val n = xs.length
+    val xa = xs.toArray
+    val ya = ys.toArray
+    val dw1 = new Array[Double](w1.length)
+    val db1 = new Array[Double](hidden)
+    val dw2 = new Array[Double](hidden)
+    val db2 = new Array[Double](1)
+    val h = new Array[Double](hidden)
+    val order = new Array[Int](n)
+    val grads = Array(dw1, db1, dw2, db2)
     val opt = new Adam(lr)
-    opt.registerAll(dense1.parameters, d1G.gradients)
-    opt.registerAll(dense2.parameters, d2G.gradients)
+    opt.register(w1, dw1); opt.register(b1, db1)
+    opt.register(w2, dw2); opt.register(b2, db2)
     val rng = new scala.util.Random(seed)
-    (1 to epochs).map { _ =>
-      val order = rng.shuffle(xs.indices.toIndexedSeq)
+    val losses = new Array[Double](epochs)
+    var epoch = 0
+    while (epoch < epochs) {
+      MLPClassifier.shuffledIndices(rng, order)
       var total = 0.0
-      order.grouped(batchSize).foreach { batch =>
-        batch.foreach { i =>
-          val t1 = Dense.forward(dense1, xs(i))
-          val t2 = Dense.forward(dense2, t1.y)
-          val p = Linalg.sigmoid(t2.y(0))
-          total += -(ys(i) * math.log(math.max(p, 1e-12)) +
-            (1 - ys(i)) * math.log(math.max(1 - p, 1e-12)))
-          val dH = Dense.backward(dense2, t2, Array(p - ys(i)), d2G)
-          Dense.backward(dense1, t1, dH, d1G)
+      var start = 0
+      while (start < n) {
+        val end = math.min(start + batchSize, n)
+        var j = start
+        while (j < end) {
+          val x = xa(order(j)); val y = ya(order(j))
+          // Forward: h = tanh(W1 x + b1), p = sigmoid(w2 . h + b2).
+          var z = 0.0; var r = 0
+          while (r < hidden) { h(r) = Linalg.tanh(preact(x, r)); z += w2(r) * h(r); r += 1 }
+          val p = Linalg.sigmoid(z + b2(0))
+          total += -(y * math.log(math.max(p, 1e-12)) + (1 - y) * math.log(math.max(1 - p, 1e-12)))
+          // Backward: d(BCE∘sigmoid)/dz = p - y; tanh' = 1 - h².
+          val dz = p - y
+          db2(0) += dz
+          r = 0
+          while (r < hidden) {
+            dw2(r) += dz * h(r)
+            val dzr = w2(r) * dz * (1.0 - h(r) * h(r))
+            db1(r) += dzr
+            val off = r * inDim; var c = 0
+            while (c < inDim) { dw1(off + c) += dzr * x(c); c += 1 }
+            r += 1
+          }
+          j += 1
         }
-        val inv = 1.0 / batch.size
-        (d1G.gradients ++ d2G.gradients).foreach(g => (0 until g.length).foreach(i => g(i) *= inv))
+        // Mean gradient over the batch.
+        val inv = 1.0 / (end - start)
+        var g = 0
+        while (g < grads.length) {
+          val a = grads(g); var i = 0
+          while (i < a.length) { a(i) *= inv; i += 1 }
+          g += 1
+        }
         opt.step(l2)
+        start = end
       }
-      total / xs.size
+      losses(epoch) = total / n
+      epoch += 1
+    }
+    losses.toSeq
+  }
+}
+
+object MLPClassifier {
+  /** Fills `order` with a permutation of 0 until order.length, drawn with
+    * exactly the `nextInt` calls of `rng.shuffle(0 until order.length)`
+    * (Fisher–Yates from the top), so it yields the same permutation.
+    */
+  private[nn] def shuffledIndices(rng: scala.util.Random, order: Array[Int]): Unit = {
+    var i = 0
+    while (i < order.length) { order(i) = i; i += 1 }
+    var m = order.length
+    while (m >= 2) {
+      val k = rng.nextInt(m)
+      val tmp = order(m - 1); order(m - 1) = order(k); order(k) = tmp
+      m -= 1
     }
   }
 }

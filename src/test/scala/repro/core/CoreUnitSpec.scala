@@ -47,6 +47,16 @@ class SimilaritySpec extends AnyFunSuite {
     val vb = Array(Array(1.0, 0.0), Array(0.0, 0.0))
     assert(math.abs(Similarity.tupleCosine(va, vb) - 1.0) < 1e-9)
   }
+  test("tupleCosine equals the cosine of the flattened tuples bit for bit") {
+    val rng = new scala.util.Random(4)
+    def tuple() = Array.fill(3)(Array.fill(5)(if (rng.nextInt(4) == 0) 0.0 else rng.nextGaussian()))
+    (1 to 200).foreach { _ =>
+      val va = tuple(); val vb = tuple()
+      assert(Similarity.tupleCosine(va, vb) == repro.nn.Linalg.cosine(va.flatten, vb.flatten))
+    }
+    val zero = Array(Array(0.0, 0.0), Array(0.0))
+    assert(Similarity.tupleCosine(zero, Array(Array(1.0, 2.0), Array(3.0))) == 0.0)
+  }
   test("paper running example: averaging similarity vector is [~0.99, 1.0]") {
     // Example 1/3 of the paper, d=3 embeddings of Bill/William/Gates/Seattle.
     val bill = Array(0.4, 0.8, 0.9); val william = Array(0.3, 0.9, 0.7)

@@ -37,6 +37,22 @@ class DeepERSpec extends SparkSpec {
     assert(p1 == p2)
   }
 
+  test("samplePairs fails, rather than hangs, when every pair in A×B is gold") {
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    val v = Map(0L -> Array(Array(1.0, 0.0)))
+    val run = Future(DeepER.samplePairs(IndexedSeq((0L, 0L)), v, v, negRatio = 1, seed = 1))
+    val e = intercept[IllegalArgumentException](Await.result(run, 30.seconds))
+    assert(e.getMessage.contains("1 x 1 tuples"), e.getMessage)
+  }
+
+  test("a dataset without gold matches fails at the entry point with its name") {
+    val empty = ds.copy(matches = ds.matches.limit(0))
+    val e = intercept[IllegalArgumentException](repro.exp.Experiments.prepare(spark, empty, dict, negRatio = 2))
+    assert(e.getMessage.contains(s"dataset ${ds.name} has no gold matches"), e.getMessage)
+  }
+
   test("crossValidate produces one PRF per fold") {
     val feats = IndexedSeq.tabulate(200)(i => Array(if (i < 40) 0.9 else 0.1))
     val labels = IndexedSeq.tabulate(200)(i => if (i < 40) 1.0 else 0.0)
