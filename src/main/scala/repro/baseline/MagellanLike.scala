@@ -40,26 +40,6 @@ object MagellanLike {
       )
     }.toArray)
 
-  private def setJaccard(a: Set[String], b: Set[String]): Double =
-    if (a.isEmpty && b.isEmpty) 1.0
-    else if (a.isEmpty || b.isEmpty) 0.0
-    else a.intersect(b).size.toDouble / a.union(b).size
-
-  private def setOverlap(a: Set[String], b: Set[String]): Double =
-    if (a.isEmpty && b.isEmpty) 1.0
-    else if (a.isEmpty || b.isEmpty) 0.0
-    else a.intersect(b).size.toDouble / math.min(a.size, b.size)
-
-  private def triCosine(a: Map[String, Int], b: Map[String, Int]): Double =
-    if (a.isEmpty && b.isEmpty) 1.0
-    else if (a.isEmpty || b.isEmpty) 0.0
-    else {
-      val dot = a.keysIterator.map(k => a(k).toDouble * b.getOrElse(k, 0)).sum
-      val na = math.sqrt(a.valuesIterator.map(v => v.toDouble * v).sum)
-      val nb = math.sqrt(b.valuesIterator.map(v => v.toDouble * v).sum)
-      dot / (na * nb)
-    }
-
   /** Pair feature vector: `featuresPerAttr` similarities per attribute. */
   def features(pa: Profile, pb: Profile): Array[Double] = {
     require(pa.attrs.length == pb.attrs.length)
@@ -68,10 +48,10 @@ object MagellanLike {
     while (k < pa.attrs.length) {
       val a = pa.attrs(k); val b = pb.attrs(k)
       val base = k * featuresPerAttr
-      out(base)     = setJaccard(a.toks, b.toks)
-      out(base + 1) = triCosine(a.trigrams, b.trigrams)
+      out(base)     = StringSim.jaccard(a.toks, b.toks)
+      out(base + 1) = StringSim.trigramCosine(a.trigrams, b.trigrams)
       out(base + 2) = StringSim.jaroWinkler(a.capped, b.capped)
-      out(base + 3) = setOverlap(a.toks, b.toks)
+      out(base + 3) = StringSim.overlap(a.toks, b.toks)
       out(base + 4) = StringSim.exact(a.raw, b.raw)
       out(base + 5) = (a.numeric, b.numeric) match {
         case (Some(x), Some(y)) =>

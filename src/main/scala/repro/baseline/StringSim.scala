@@ -5,6 +5,8 @@ package repro.baseline
   * observation (ii): experts pick from pools like SimMetrics' 29
   * functions). All return values in [0, 1], higher = more similar; both
   * inputs null/empty → 1.0 (agreement on absence), one-sided → 0.0.
+  * The set and trigram measures take [[tokens]] / [[trigrams]] of each
+  * string, which [[MagellanLike]] precomputes once per tuple.
   */
 object StringSim {
 
@@ -66,38 +68,36 @@ object StringSim {
     if (s == null) Set.empty
     else s.toLowerCase.split("\\s+").filter(_.nonEmpty).toSet
 
-  /** Token-set Jaccard. */
-  def jaccard(a: String, b: String): Double = {
-    val ta = tokens(a); val tb = tokens(b)
-    if (ta.isEmpty && tb.isEmpty) 1.0
-    else if (ta.isEmpty || tb.isEmpty) 0.0
-    else ta.intersect(tb).size.toDouble / ta.union(tb).size
-  }
+  /** Jaccard coefficient of two token sets (see [[tokens]]). */
+  def jaccard(a: Set[String], b: Set[String]): Double =
+    if (a.isEmpty && b.isEmpty) 1.0
+    else if (a.isEmpty || b.isEmpty) 0.0
+    else a.intersect(b).size.toDouble / a.union(b).size
 
-  /** Token overlap coefficient. */
-  def overlap(a: String, b: String): Double = {
-    val ta = tokens(a); val tb = tokens(b)
-    if (ta.isEmpty && tb.isEmpty) 1.0
-    else if (ta.isEmpty || tb.isEmpty) 0.0
-    else ta.intersect(tb).size.toDouble / math.min(ta.size, tb.size)
-  }
+  /** Overlap coefficient of two token sets (see [[tokens]]). */
+  def overlap(a: Set[String], b: Set[String]): Double =
+    if (a.isEmpty && b.isEmpty) 1.0
+    else if (a.isEmpty || b.isEmpty) 0.0
+    else a.intersect(b).size.toDouble / math.min(a.size, b.size)
 
   def trigrams(s: String): Map[String, Int] =
     if (s == null || s.length < 3) Map.empty
     else ("  " + s.toLowerCase + "  ").sliding(3).toSeq.groupBy(identity).map { case (g, o) => g -> o.size }
 
-  /** Cosine similarity over character-trigram count vectors (the classical
-    * prefilter of Köpcke et al. used in the paper's setup section).
+  /** Cosine similarity of two character-trigram count vectors (see
+    * [[trigrams]]; the classical prefilter of Köpcke et al. used in the
+    * paper's setup section). A string shorter than 3 characters has no
+    * trigrams, so two such strings score 1.0, like two empty ones.
     */
-  def trigramCosine(a: String, b: String): Double = {
-    if (bothEmpty(a, b)) return 1.0
-    val ga = trigrams(a); val gb = trigrams(b)
-    if (ga.isEmpty || gb.isEmpty) return 0.0
-    val dotP = ga.keysIterator.map(k => ga(k).toDouble * gb.getOrElse(k, 0)).sum
-    val na = math.sqrt(ga.valuesIterator.map(v => v.toDouble * v).sum)
-    val nb = math.sqrt(gb.valuesIterator.map(v => v.toDouble * v).sum)
-    dotP / (na * nb)
-  }
+  def trigramCosine(a: Map[String, Int], b: Map[String, Int]): Double =
+    if (a.isEmpty && b.isEmpty) 1.0
+    else if (a.isEmpty || b.isEmpty) 0.0
+    else {
+      val dot = a.keysIterator.map(k => a(k).toDouble * b.getOrElse(k, 0)).sum
+      val na = math.sqrt(a.valuesIterator.map(v => v.toDouble * v).sum)
+      val nb = math.sqrt(b.valuesIterator.map(v => v.toDouble * v).sum)
+      dot / (na * nb)
+    }
 
   /** Exact match indicator. */
   def exact(a: String, b: String): Double =

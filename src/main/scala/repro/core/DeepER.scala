@@ -139,50 +139,37 @@ object DeepER {
   def bestThreshold(probs: Seq[Double], labels: Seq[Double]): Double =
     (1 to 19).map(_ * 0.05).maxBy(t => Evaluation.score(probs, labels, t).f1)
 
-  /** Cross-validated classification over precomputed feature vectors
-    * (used by both DeepER-avg and the classical baseline so the protocol
-    * is identical). The decision threshold is selected on the training
-    * fold. Returns per-fold PRF on the held-out fold.
+  /** The Section 5.1 cross-validation protocol, shared by every model:
+    * stratified folds, the training knobs, `fit` on the training fold with
+    * seed `cfg.seed + fold`, and a decision threshold selected on the
+    * training fold. Returns per-fold PRF on the held-out fold.
+    */
+  def crossValidateOn[X](examples: IndexedSeq[X], labels: IndexedSeq[Double], cfg: Config)(
+      fit: (IndexedSeq[X], IndexedSeq[Double], Long) => X => Double): Seq[PRF] = {
+    require(examples.length == labels.length)
+    Evaluation.stratifiedFolds(labels, cfg.folds, cfg.seed).zipWithIndex.map { case ((train0, test), f) =>
+      val (train, trainLabels) = applyTrainKnobs(train0, labels, cfg)
+      val predict = fit(
+        train.map(examples).toIndexedSeq,
+        train.map(trainLabels).toIndexedSeq,
+        cfg.seed + f)
+      val t = bestThreshold(train.map(i => predict(examples(i))), train.map(labels))
+      Evaluation.score(test.map(i => predict(examples(i))), test.map(labels), t)
+    }
+  }
+
+  /** [[crossValidateOn]] over precomputed feature vectors (DeepER-avg and
+    * the classical baseline, so the protocol is identical).
     */
   def crossValidate(
       features: IndexedSeq[Array[Double]],
       labels: IndexedSeq[Double],
       cfg: Config,
       fit: (IndexedSeq[Array[Double]], IndexedSeq[Double], Long) => Array[Double] => Double,
-  ): Seq[PRF] = {
-    require(features.length == labels.length)
-    Evaluation.stratifiedFolds(labels, cfg.folds, cfg.seed).zipWithIndex.map { case ((train0, test), f) =>
-      val (train, trainLabels) = applyTrainKnobs(train0, labels, cfg)
-      val predict = fit(
-        train.map(features).toIndexedSeq,
-        train.map(trainLabels).toIndexedSeq,
-        cfg.seed + f)
-      val t = bestThreshold(train.map(i => predict(features(i))), train.map(labels))
-      Evaluation.score(test.map(i => predict(features(i))), test.map(labels), t)
-    }
-  }
+  ): Seq[PRF] = crossValidateOn(features, labels, cfg)(fit)
 
   /** Mean-F1 over folds. */
   def meanF1(prfs: Seq[PRF]): Double = prfs.map(_.f1).sum / prfs.size * 100.0
-
-  /** Full DeepER run with averaging composition and frozen embeddings —
-    * the Table 4 configuration. Tuple embedding runs distributed; the
-    * similarity vectors are precomputed once and the Figure-5
-    * classification head is trained per fold.
-    */
-  def runAvg(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, cfg: Config = Config()): Seq[PRF] = {
-    val matches = goldMatches(ds)
-    val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
-    val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
-    val (pairs, _) = samplePairs(matches, vecsA, vecsB, cfg.negRatio, cfg.seed)
-    val feats = pairs.map(p => Similarity.cosineVector(vecsA(p.a), vecsB(p.b)))
-    val labels = pairs.map(_.label)
-    crossValidate(feats, labels, cfg, (xs, ys, s) => {
-      val mlp = new MLPClassifier(ds.attrs.size, cfg.hidden, s)
-      mlp.fit(xs, ys, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, s)
-      mlp.predictProb _
-    })
-  }
 
   /** Tokenized tuples as embedding-table indices, collected per table. */
   def collectTokenIndices(
@@ -236,21 +223,18 @@ object DeepER {
     val (index, emb0, unkIdx) = dict.toTable(vocab)
     val (toksA, toksB) = collectTokenIndices(ds, index, unkIdx, cfg.maxTokensPerAttr)
     val examples = pairs.map(p => PairExample(toksA(p.a), toksB(p.b), p.label))
-    val labels = pairs.map(_.label)
 
-    Evaluation.stratifiedFolds(labels, cfg.folds, cfg.seed).zipWithIndex.map { case ((train0, test), f) =>
-      val (train, trainLabels) = applyTrainKnobs(train0, labels, cfg)
+    crossValidateOn(examples, pairs.map(_.label), cfg) { (xs, ys, s) =>
       val emb = if (trainEmbeddings) emb0.copy() else emb0
-      val net = new DeepERNet(emb, unkIdx, ds.attrs.size, comp, cfg.hidden, trainEmbeddings, cfg.seed + f)
-      val trainEx = train.map(i => examples(i).copy(label = trainLabels(i))).toIndexedSeq
+      val net = new DeepERNet(emb, unkIdx, ds.attrs.size, comp, cfg.hidden, trainEmbeddings, s)
+      val trainEx = xs.zip(ys).map { case (ex, y) => ex.copy(label = y) }
       // Embeddings get a much smaller effective step than the dense
       // layers: Adam normalizes per-parameter step sizes, so the paper's
       // "update rate 0.01" (raw SGD scale) corresponds to a small
       // fraction of the Adam learning rate — anything near 1.0 destroys
       // the pre-trained geometry within an epoch.
-      net.fit(trainEx, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, embLrScale = 0.01, seed = cfg.seed + f)
-      val t = bestThreshold(train.map(i => net.predictProb(examples(i))), train.map(labels))
-      Evaluation.score(test.map(i => net.predictProb(examples(i))), test.map(labels), t)
+      net.fit(trainEx, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, embLrScale = 0.01, seed = s)
+      net.predictProb _
     }
   }
 }

@@ -31,9 +31,11 @@ object Evaluation {
 
   /** Stratified K-fold index splits: positives and negatives are split
     * separately so every fold keeps the global class ratio (the paper uses
-    * 5-fold CV with a fixed duplicate:non-duplicate ratio).
+    * 5-fold CV with a fixed duplicate:non-duplicate ratio). With k < 2 a
+    * training split would be empty, so it is rejected.
     */
   def stratifiedFolds(labels: IndexedSeq[Double], k: Int, seed: Long): Seq[(Seq[Int], Seq[Int])] = {
+    require(k >= 2, s"stratified K-fold CV needs at least 2 folds, got $k")
     val rng = new scala.util.Random(seed)
     val pos = rng.shuffle(labels.indices.filter(labels(_) >= 0.5).toIndexedSeq)
     val neg = rng.shuffle(labels.indices.filter(labels(_) < 0.5).toIndexedSeq)

@@ -11,14 +11,6 @@ object Similarity {
     Array.tabulate(va.length)(k => Linalg.cosine(va(k), vb(k)))
   }
 
-  /** Composed (LSTM) DRs: element-wise |v - v'| → x-dim similarity vector. */
-  def absDiffVector(a: Array[Double], b: Array[Double]): Array[Double] =
-    Linalg.sub(a, b).map(math.abs)
-
-  /** Composed DRs, Hadamard variant. */
-  def hadamardVector(a: Array[Double], b: Array[Double]): Array[Double] =
-    Linalg.hadamard(a, b)
-
   /** Whole-tuple cosine over concatenated DRs — the similarity used for
     * the paper's negative-sampling threshold (Section 5.1).
     */

@@ -9,7 +9,4 @@ object Tokenizer {
   def tokenize(s: String): Seq[String] =
     if (s == null || s.isEmpty) Seq.empty
     else s.toLowerCase.split("\\s+").filter(_.nonEmpty).toSeq
-
-  /** Tokenize each attribute value of a tuple. */
-  def tokenizeTuple(values: Seq[String]): Seq[Seq[String]] = values.map(tokenize)
 }

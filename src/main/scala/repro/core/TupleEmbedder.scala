@@ -3,12 +3,11 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.embedding.EmbeddingDict
-import repro.nn.{Linalg, LSTM, LSTMParams, Mat}
+import repro.nn.Linalg
 
 /** Distributed computation of tuple DRs (Section 2.3): the embedding
-  * dictionary (and, for the compositional variant, the LSTM weights) is
-  * broadcast once and every partition embeds its tuples locally — the
-  * `distributed_dataflow` layering of DESIGN.md §2.
+  * dictionary is broadcast once and every partition embeds its tuples
+  * locally — the `distributed_dataflow` layering of DESIGN.md §2.
   */
 object TupleEmbedder {
 
@@ -41,33 +40,14 @@ object TupleEmbedder {
   def collectAvgVectors(
       spark: SparkSession, df: DataFrame, attrs: Seq[String], dict: EmbeddingDict,
   ): Map[Long, Array[Array[Double]]] =
-    withAvgVectors(spark, df, attrs, dict)
-      .select("id", "vecs")
+    collectVecs(withAvgVectors(spark, df, attrs, dict))
+
+  /** The `id` and `vecs` columns of a [[withAvgVectors]] result as a
+    * driver-side map.
+    */
+  def collectVecs(df: DataFrame): Map[Long, Array[Array[Double]]] =
+    df.select("id", "vecs")
       .collect()
       .map(r => r.getLong(0) -> r.getSeq[scala.collection.Seq[Double]](1).map(_.toArray).toArray)
       .toMap
-
-  /** Algorithm 2 distributed: compose the whole tuple's token sequence
-    * with a (trained) shared LSTM; adds `dr` = final hidden state.
-    * `maxTokensPerAttr` bounds BPTT-free forward cost on long attributes.
-    */
-  def withLstmVectors(
-      spark: SparkSession,
-      df: DataFrame,
-      attrs: Seq[String],
-      index: Map[String, Int],
-      unkIdx: Int,
-      emb: Mat,
-      lstm: LSTMParams,
-      maxTokensPerAttr: Int = 20,
-  ): DataFrame = {
-    val b = spark.sparkContext.broadcast((index, emb, lstm))
-    val compose = udf { (vals: Seq[String]) =>
-      val (idx, e, p) = b.value
-      val toks = vals.flatMap(v => Tokenizer.tokenize(v).take(maxTokensPerAttr))
-      val xs = toks.map(t => e.row(idx.getOrElse(t, unkIdx))).toArray
-      LSTM.forward(p, xs).last.toSeq
-    }
-    df.withColumn("dr", compose(array(attrs.map(a => col(a).cast("string")): _*)))
-  }
 }

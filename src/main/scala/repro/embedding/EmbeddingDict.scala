@@ -52,6 +52,4 @@ final case class EmbeddingDict(dim: Int, vectors: Map[String, Array[Double]],
     m.setRow(words.size, unk)
     (words.zipWithIndex.toMap, m, words.size)
   }
-
-  def cosine(w1: String, w2: String): Double = Linalg.cosine(lookup(w1), lookup(w2))
 }

@@ -57,9 +57,8 @@ object BlockingExperiments {
       maxTrainNeg: Int = 30000,
   ): Seq[(Int, Int, Double, Double)] = {
     val matches = DeepER.goldMatches(p.ds)
-    val dict = Dicts.gloveLike(p.ds.forms)
-    val vecsA = TupleEmbedder.collectAvgVectors(spark, p.ds.tableA, p.ds.attrs, dict)
-    val vecsB = TupleEmbedder.collectAvgVectors(spark, p.ds.tableB, p.ds.attrs, dict)
+    val vecsA = TupleEmbedder.collectVecs(p.drA)
+    val vecsB = TupleEmbedder.collectVecs(p.drB)
     val gold = matches.toSet
 
     // Train on negatives drawn from the *blocked candidate* distribution

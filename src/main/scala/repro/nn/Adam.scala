@@ -33,9 +33,11 @@ final class Adam(lr: Double = 0.01, beta1: Double = 0.9, beta2: Double = 0.999, 
   }
 
   /** Apply one update from the accumulated gradients, then zero them.
-    * `l2` adds weight decay (applied to the gradient, classic Adam-L2).
+    * Each gradient is first multiplied by `gradScale` (1/batch turns a
+    * batch sum into its mean); `l2` then adds weight decay (applied to
+    * the gradient, classic Adam-L2).
     */
-  def step(l2: Double = 0.0): Unit = {
+  def step(l2: Double = 0.0, gradScale: Double = 1.0): Unit = {
     t += 1
     val bc1 = 1.0 - math.pow(beta1, t)
     val bc2 = 1.0 - math.pow(beta2, t)
@@ -47,7 +49,7 @@ final class Adam(lr: Double = 0.01, beta1: Double = 0.9, beta2: Double = 0.999, 
       val wd = if (s.decay) l2 else 0.0
       var i = 0
       while (i < s.param.length) {
-        val g = s.grad(i) + wd * s.param(i)
+        val g = s.grad(i) * gradScale + wd * s.param(i)
         s.m(i) = beta1 * s.m(i) + (1 - beta1) * g
         s.v(i) = beta2 * s.v(i) + (1 - beta2) * g * g
         s.param(i) -= a * (s.m(i) / bc1) / (math.sqrt(s.v(i) / bc2) + eps)

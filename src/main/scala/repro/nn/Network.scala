@@ -9,9 +9,9 @@ final case class PairExample(a: Array[Array[Int]], b: Array[Array[Int]], label: 
 sealed trait Composition extends Serializable
 /** Algorithm 1: per-attribute averaging; similarity = m-dim cosine vector. */
 case object AvgComp extends Composition
-/** Algorithm 2: shared unidirectional LSTM over the whole tuple; similarity = |v-v'|. */
-final case class LstmComp(hidDim: Int) extends Composition
-/** Algorithm 2, bidirectional variant. */
+/** Algorithm 2, bidirectional: a shared Bi-LSTM over the whole tuple;
+  * similarity = |v-v'|.
+  */
 final case class BiLstmComp(hidDim: Int) extends Composition
 /** Sentence2Vec-like stand-in: one averaged vector over all tokens of the
   * tuple, ignoring attribute boundaries (loses per-attribute alignment).
@@ -20,6 +20,8 @@ case object Sent2VecComp extends Composition
 
 /** The Deep Entity Resolution network of Figure 5:
   * embedding lookup → composition → similarity → dense → classification.
+  * The dense and classification stages are the [[MLPClassifier]] head;
+  * this class adds the stages before it and backpropagates into them.
   *
   * Training runs on the driver (training sets are hundreds–thousands of
   * pairs, the paper's regime); the fitted network is `Serializable` so it
@@ -42,10 +44,6 @@ final class DeepERNet(
 
   val dim: Int = emb.cols
 
-  private val lstmP: LSTMParams = comp match {
-    case LstmComp(h) => new LSTMParams(dim, h, seed + 1)
-    case _           => null
-  }
   private val biP: BiLSTMParams = comp match {
     case BiLstmComp(h) => new BiLSTMParams(dim, h, seed + 2)
     case _             => null
@@ -53,19 +51,14 @@ final class DeepERNet(
 
   val simDim: Int = comp match {
     case AvgComp        => nAttrs
-    case LstmComp(h)    => h
     case BiLstmComp(h)  => 2 * h
     case Sent2VecComp   => dim
   }
-  private val dense1 = new DenseParams(simDim, hidden, Tanh, seed + 3)
-  private val dense2 = new DenseParams(hidden, 1, Identity, seed + 4)
+  private val head = new MLPClassifier(simDim, hidden, seed + 3)
 
   // ---- gradients -------------------------------------------------------
   private val dEmb = Mat.zeros(emb.rows, emb.cols)
-  private val lstmG = if (lstmP != null) lstmP.zeroGrads else null
   private val biG = if (biP != null) new BiLSTMGrads(dim, biP.hidDim) else null
-  private val d1G = dense1.zeroGrads
-  private val d2G = dense2.zeroGrads
 
   private def lookup(idx: Int): Array[Double] = emb.row(idx)
 
@@ -76,7 +69,6 @@ final class DeepERNet(
     */
   private final class TupleFwd(
       val attrVecs: Array[Array[Double]],  // Avg: m vectors; else: length 1
-      val lstmTr: LSTMTrace,
       val biTr: BiLSTMTrace,
       val flatTokens: Array[Int],
   )
@@ -87,27 +79,18 @@ final class DeepERNet(
         if (toks.isEmpty) lookup(unkIdx)
         else Linalg.mean(toks.toIndexedSeq.map(lookup))
       }
-      new TupleFwd(vs, null, null, null)
+      new TupleFwd(vs, null, null)
     case Sent2VecComp =>
       val toks = tokensOf(t)
       val v = if (toks.isEmpty) lookup(unkIdx) else Linalg.mean(toks.toIndexedSeq.map(lookup))
-      new TupleFwd(Array(v), null, null, toks)
-    case LstmComp(_) =>
-      val toks = tokensOf(t)
-      val tr = LSTM.forward(lstmP, toks.map(lookup))
-      new TupleFwd(Array(tr.last), tr, null, toks)
+      new TupleFwd(Array(v), null, toks)
     case BiLstmComp(_) =>
       val toks = tokensOf(t)
       val tr = BiLSTM.forward(biP, toks.map(lookup))
-      new TupleFwd(Array(tr.last), null, tr, toks)
+      new TupleFwd(Array(tr.last), tr, toks)
   }
 
-  private final class PairFwd(
-      val fa: TupleFwd, val fb: TupleFwd,
-      val sim: Array[Double],
-      val t1: DenseTrace, val t2: DenseTrace,
-      val prob: Double,
-  )
+  private final class PairFwd(val fa: TupleFwd, val fb: TupleFwd, val sim: Array[Double])
 
   /** Similarity layer: cosine per attribute (Avg) or |v - v'| (composed). */
   private def forwardPair(ex: PairExample): PairFwd = {
@@ -120,12 +103,10 @@ final class DeepERNet(
         val d = Linalg.sub(fa.attrVecs(0), fb.attrVecs(0))
         d.map(math.abs)
     }
-    val t1 = Dense.forward(dense1, sim)
-    val t2 = Dense.forward(dense2, t1.y)
-    new PairFwd(fa, fb, sim, t1, t2, Linalg.sigmoid(t2.y(0)))
+    new PairFwd(fa, fb, sim)
   }
 
-  def predictProb(ex: PairExample): Double = forwardPair(ex).prob
+  def predictProb(ex: PairExample): Double = head.predictProb(forwardPair(ex).sim)
 
   /** Gradient of cosine(a,b) w.r.t. a, reusing precomputed norms. */
   private def dCosine(a: Array[Double], b: Array[Double], s: Double, dUp: Double): Array[Double] = {
@@ -162,17 +143,13 @@ final class DeepERNet(
     }
   }
 
-  /** One example's backward pass; returns BCE loss. */
-  private def backwardPair(ex: PairExample): Double = {
+  /** One example's backward pass; returns BCE loss. `dSim` receives the
+    * head's dL/d(similarity); it is null when nothing below the head
+    * trains (averaging over frozen embeddings).
+    */
+  private def backwardPair(ex: PairExample, g: MLPClassifier.Grads, dSim: Array[Double]): Double = {
     val f = forwardPair(ex)
-    val p = f.prob
-    val loss = -(ex.label * math.log(math.max(p, 1e-12)) +
-      (1 - ex.label) * math.log(math.max(1 - p, 1e-12)))
-    // d(BCE∘sigmoid)/dz = p - y
-    val dz = Array(p - ex.label)
-    val dH = Dense.backward(dense2, f.t2, dz, d2G)
-    val dSim = Dense.backward(dense1, f.t1, dH, d1G)
-
+    val loss = head.accumulate(f.sim, ex.label, g, dSim)
     comp match {
       case AvgComp =>
         if (trainEmbeddings) {
@@ -196,9 +173,6 @@ final class DeepERNet(
         }
         val dVb = Linalg.scale(dVa, -1.0)
         def backTuple(tf: TupleFwd, dV: Array[Double]): Unit = comp match {
-          case LstmComp(_) =>
-            val dxs = LSTM.backward(lstmP, tf.lstmTr, dV, lstmG)
-            if (trainEmbeddings) accumulateEmbGrad(tf.flatTokens, dxs)
           case BiLstmComp(_) =>
             val dxs = BiLSTM.backward(biP, tf.biTr, dV, biG)
             if (trainEmbeddings) accumulateEmbGrad(tf.flatTokens, dxs)
@@ -233,49 +207,25 @@ final class DeepERNet(
       seed: Long = 7,
   ): Seq[Double] = {
     val opt = new Adam(lr)
-    opt.registerAll(dense1.parameters, d1G.gradients)
-    opt.registerAll(dense2.parameters, d2G.gradients)
-    comp match {
-      case LstmComp(_)   => opt.registerAll(lstmP.parameters, lstmG.gradients)
-      case BiLstmComp(_) => opt.registerAll(biP.parameters, biG.gradients)
-      case _             => ()
-    }
+    val g = head.grads(opt)
+    if (biP != null) opt.registerAll(biP.parameters, biG.gradients)
     if (trainEmbeddings) opt.register(emb.data, dEmb.data, embLrScale, decay = false)
-    val rng = new scala.util.Random(seed)
-    (1 to epochs).map { _ =>
-      val order = rng.shuffle(examples.indices.toIndexedSeq)
-      var total = 0.0
-      order.grouped(batchSize).foreach { batch =>
-        batch.foreach(i => total += backwardPair(examples(i)))
-        // Mean gradient over the batch.
-        val inv = 1.0 / batch.size
-        Seq(d1G.gradients, d2G.gradients).foreach(_.foreach(g => (0 until g.length).foreach(i => g(i) *= inv)))
-        comp match {
-          case LstmComp(_)   => lstmG.gradients.foreach(g => (0 until g.length).foreach(i => g(i) *= inv))
-          case BiLstmComp(_) => biG.gradients.foreach(g => (0 until g.length).foreach(i => g(i) *= inv))
-          case _             => ()
-        }
-        if (trainEmbeddings) (0 until dEmb.data.length).foreach(i => dEmb.data(i) *= inv)
-        opt.step(l2)
-        if (trainEmbeddings) java.util.Arrays.fill(dEmb.data, 0.0)
-      }
-      total / examples.size
-    }
+    val dSim = if (trainEmbeddings || comp != AvgComp) new Array[Double](simDim) else null
+    MLPClassifier.train(examples.size, epochs, batchSize, opt, l2, seed)(i => backwardPair(examples(i), g, dSim))
   }
 }
 
-/** Plain MLP head (simDim → hidden tanh units → sigmoid) over *precomputed*
+/** The Figure-5 head (simDim → hidden tanh units → sigmoid) over
   * similarity vectors. With frozen embeddings and averaging composition the
   * tuple DRs and similarity vectors are constants, so Table-4-style
-  * experiments train this head directly — same math as [[DeepERNet]]'s
-  * classification stage, orders of magnitude faster.
+  * experiments train this head directly on precomputed vectors;
+  * [[DeepERNet]] uses the same head on the vectors it computes.
   *
-  * Training is one fused loop over the weight arrays: buffers are allocated
-  * once per `fit`, nothing per example or per batch. Every sum runs in the
-  * order of the [[Dense]]-layer formulation (dot product from 0.0, then
-  * the bias), so results are bit-identical to it. `predictProb` only reads
-  * the weights and allocates nothing, so one instance may score from many
-  * threads at once (the broadcast scoring UDF does).
+  * Training allocates its buffers once per `fit`, nothing per example or
+  * per batch. Every sum runs in the order of a layer-by-layer dense
+  * formulation (dot product from 0.0, then the bias). `predictProb` only
+  * reads the weights and allocates nothing, so one instance may score from
+  * many threads at once (the broadcast scoring UDF does).
   */
 final class MLPClassifier(val inDim: Int, val hidden: Int = 50, seed: Long = 42) extends Serializable {
   private val w1: Array[Double] = Mat.glorot(hidden, inDim, seed).data // row-major hidden x inDim
@@ -298,6 +248,41 @@ final class MLPClassifier(val inDim: Int, val hidden: Int = 50, seed: Long = 42)
     Linalg.sigmoid(z + b2(0))
   }
 
+  /** Allocates this head's gradient buffers and registers them with `opt`. */
+  private[nn] def grads(opt: Adam): MLPClassifier.Grads = {
+    val g = new MLPClassifier.Grads(inDim, hidden)
+    opt.register(w1, g.w1); opt.register(b1, g.b1)
+    opt.register(w2, g.w2); opt.register(b2, g.b2)
+    g
+  }
+
+  /** Forward and backward pass of one example: adds its gradients to `g`
+    * and returns its BCE loss. A non-null `dx` is overwritten with dL/dx,
+    * summed over hidden units in ascending order as `Mat.tmatvec` does.
+    */
+  private[nn] def accumulate(x: Array[Double], y: Double, g: MLPClassifier.Grads, dx: Array[Double]): Double = {
+    val h = g.h
+    // Forward: h = tanh(W1 x + b1), p = sigmoid(w2 . h + b2).
+    var z = 0.0; var r = 0
+    while (r < hidden) { h(r) = Linalg.tanh(preact(x, r)); z += w2(r) * h(r); r += 1 }
+    val p = Linalg.sigmoid(z + b2(0))
+    // Backward: d(BCE∘sigmoid)/dz = p - y; tanh' = 1 - h².
+    val dz = p - y
+    g.b2(0) += dz
+    if (dx != null) java.util.Arrays.fill(dx, 0.0)
+    r = 0
+    while (r < hidden) {
+      g.w2(r) += dz * h(r)
+      val dzr = w2(r) * dz * (1.0 - h(r) * h(r))
+      g.b1(r) += dzr
+      val off = r * inDim; var c = 0
+      while (c < inDim) { g.w1(off + c) += dzr * x(c); c += 1 }
+      if (dx != null) { c = 0; while (c < inDim) { dx(c) += w1(off + c) * dzr; c += 1 } }
+      r += 1
+    }
+    -(y * math.log(math.max(p, 1e-12)) + (1 - y) * math.log(math.max(1 - p, 1e-12)))
+  }
+
   /** Mini-batch Adam with BCE loss and L2 weight decay; deterministic in
     * `seed`. Returns the mean loss of each epoch.
     */
@@ -311,61 +296,49 @@ final class MLPClassifier(val inDim: Int, val hidden: Int = 50, seed: Long = 42)
       seed: Long = 7,
   ): Seq[Double] = {
     require(xs.length == ys.length)
-    require(batchSize > 0, s"batchSize must be positive, got $batchSize")
     xs.foreach(x => require(x.length == inDim, s"fit: expected $inDim features, got ${x.length}"))
-    val n = xs.length
     val xa = xs.toArray
     val ya = ys.toArray
-    val dw1 = new Array[Double](w1.length)
-    val db1 = new Array[Double](hidden)
-    val dw2 = new Array[Double](hidden)
-    val db2 = new Array[Double](1)
-    val h = new Array[Double](hidden)
-    val order = new Array[Int](n)
-    val grads = Array(dw1, db1, dw2, db2)
     val opt = new Adam(lr)
-    opt.register(w1, dw1); opt.register(b1, db1)
-    opt.register(w2, dw2); opt.register(b2, db2)
+    val g = grads(opt)
+    MLPClassifier.train(xa.length, epochs, batchSize, opt, l2, seed)(i => accumulate(xa(i), ya(i), g, null))
+  }
+}
+
+object MLPClassifier {
+  /** Gradient buffers of one training run, and the hidden activations of
+    * the example in flight.
+    */
+  private[nn] final class Grads(inDim: Int, hidden: Int) {
+    val w1 = new Array[Double](hidden * inDim)
+    val b1 = new Array[Double](hidden)
+    val w2 = new Array[Double](hidden)
+    val b2 = new Array[Double](1)
+    val h = new Array[Double](hidden)
+  }
+
+  /** The mini-batch loop of Section 5.1 that both Figure-5 models train
+    * with. Each epoch visits the `n` examples in a fresh shuffled order;
+    * `step(i)` runs example i, accumulates its gradients and returns its
+    * loss. After each batch Adam applies the batch-mean gradient. Returns
+    * the mean loss of each epoch.
+    */
+  private[nn] def train(n: Int, epochs: Int, batchSize: Int, opt: Adam, l2: Double, seed: Long)(
+      step: Int => Double): Seq[Double] = {
+    require(batchSize > 0, s"batchSize must be positive, got $batchSize")
+    val order = new Array[Int](n)
     val rng = new scala.util.Random(seed)
     val losses = new Array[Double](epochs)
     var epoch = 0
     while (epoch < epochs) {
-      MLPClassifier.shuffledIndices(rng, order)
+      shuffledIndices(rng, order)
       var total = 0.0
       var start = 0
       while (start < n) {
         val end = math.min(start + batchSize, n)
         var j = start
-        while (j < end) {
-          val x = xa(order(j)); val y = ya(order(j))
-          // Forward: h = tanh(W1 x + b1), p = sigmoid(w2 . h + b2).
-          var z = 0.0; var r = 0
-          while (r < hidden) { h(r) = Linalg.tanh(preact(x, r)); z += w2(r) * h(r); r += 1 }
-          val p = Linalg.sigmoid(z + b2(0))
-          total += -(y * math.log(math.max(p, 1e-12)) + (1 - y) * math.log(math.max(1 - p, 1e-12)))
-          // Backward: d(BCE∘sigmoid)/dz = p - y; tanh' = 1 - h².
-          val dz = p - y
-          db2(0) += dz
-          r = 0
-          while (r < hidden) {
-            dw2(r) += dz * h(r)
-            val dzr = w2(r) * dz * (1.0 - h(r) * h(r))
-            db1(r) += dzr
-            val off = r * inDim; var c = 0
-            while (c < inDim) { dw1(off + c) += dzr * x(c); c += 1 }
-            r += 1
-          }
-          j += 1
-        }
-        // Mean gradient over the batch.
-        val inv = 1.0 / (end - start)
-        var g = 0
-        while (g < grads.length) {
-          val a = grads(g); var i = 0
-          while (i < a.length) { a(i) *= inv; i += 1 }
-          g += 1
-        }
-        opt.step(l2)
+        while (j < end) { total += step(order(j)); j += 1 }
+        opt.step(l2, gradScale = 1.0 / (end - start))
         start = end
       }
       losses(epoch) = total / n
@@ -373,9 +346,7 @@ final class MLPClassifier(val inDim: Int, val hidden: Int = 50, seed: Long = 42)
     }
     losses.toSeq
   }
-}
 
-object MLPClassifier {
   /** Fills `order` with a permutation of 0 until order.length, drawn with
     * exactly the `nextInt` calls of `rng.shuffle(0 until order.length)`
     * (Fisher–Yates from the top), so it yields the same permutation.

@@ -28,10 +28,10 @@ object StringSimProps extends Properties("StringSim") {
     StringSim.jaroWinkler(a, b) >= StringSim.jaro(a, b) - 1e-12
   }
   property("jaccard bounded and reflexive") = forAll(word) { a =>
-    StringSim.jaccard(a, a) == 1.0
+    StringSim.jaccard(StringSim.tokens(a), StringSim.tokens(a)) == 1.0
   }
   property("trigramCosine bounded in [0,1]") = forAll(word, word) { (a, b) =>
-    val s = StringSim.trigramCosine(a, b); s >= -1e-12 && s <= 1.0 + 1e-12
+    val s = StringSim.trigramCosine(StringSim.trigrams(a), StringSim.trigrams(b)); s >= -1e-12 && s <= 1.0 + 1e-12
   }
 }
 

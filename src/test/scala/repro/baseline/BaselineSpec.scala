@@ -3,6 +3,11 @@ package repro.baseline
 import org.scalatest.funsuite.AnyFunSuite
 
 class StringSimSpec extends AnyFunSuite {
+  // The set and trigram measures on the strings' token sets and trigram counts.
+  private def jaccard(a: String, b: String) = StringSim.jaccard(StringSim.tokens(a), StringSim.tokens(b))
+  private def overlap(a: String, b: String) = StringSim.overlap(StringSim.tokens(a), StringSim.tokens(b))
+  private def trigramCosine(a: String, b: String) = StringSim.trigramCosine(StringSim.trigrams(a), StringSim.trigrams(b))
+
   test("levenshtein known values") {
     assert(StringSim.levenshtein("kitten", "sitting") == 3)
     assert(StringSim.levenshtein("abc", "abc") == 0)
@@ -30,22 +35,27 @@ class StringSimSpec extends AnyFunSuite {
     assert(StringSim.jaroWinkler("same", "same") == 1.0)
   }
   test("jaccard over token sets") {
-    assert(StringSim.jaccard("a b c", "b c d") == 0.5)
-    assert(StringSim.jaccard("a", "a") == 1.0)
-    assert(StringSim.jaccard(null, null) == 1.0)
-    assert(StringSim.jaccard("a", null) == 0.0)
+    assert(jaccard("a b c", "b c d") == 0.5)
+    assert(jaccard("a", "a") == 1.0)
+    assert(jaccard(null, null) == 1.0)
+    assert(jaccard("a", null) == 0.0)
   }
   test("overlap coefficient uses the smaller set") {
-    assert(StringSim.overlap("a b", "a b c d") == 1.0)
-    assert(StringSim.overlap("a x", "a b c d") == 0.5)
+    assert(overlap("a b", "a b c d") == 1.0)
+    assert(overlap("a x", "a b c d") == 0.5)
   }
   test("trigramCosine is 1 for identical strings and lower for typos") {
-    assert(math.abs(StringSim.trigramCosine("hello", "hello") - 1.0) < 1e-9)
-    val typo = StringSim.trigramCosine("hello", "helxo")
+    assert(math.abs(trigramCosine("hello", "hello") - 1.0) < 1e-9)
+    val typo = trigramCosine("hello", "helxo")
     assert(typo > 0.2 && typo < 1.0)
   }
+  test("trigramCosine scores two empty trigram maps 1.0 and one empty map 0.0") {
+    assert(StringSim.trigramCosine(Map.empty, Map.empty) == 1.0)
+    assert(trigramCosine(null, "ab") == 1.0) // "ab" is too short to have trigrams
+    assert(trigramCosine("abc", "ab") == 0.0)
+  }
   test("trigramCosine catches typos better than token jaccard") {
-    assert(StringSim.trigramCosine("wonderful", "wonderfull") > StringSim.jaccard("wonderful", "wonderfull"))
+    assert(trigramCosine("wonderful", "wonderfull") > jaccard("wonderful", "wonderfull"))
   }
   test("exact match indicator") {
     assert(StringSim.exact("x", "x") == 1.0)
@@ -62,14 +72,14 @@ class StringSimSpec extends AnyFunSuite {
     pairs.foreach { case (a, b) =>
       assert(StringSim.levenshteinSim(a, b) == StringSim.levenshteinSim(b, a))
       assert(math.abs(StringSim.jaro(a, b) - StringSim.jaro(b, a)) < 1e-12)
-      assert(StringSim.jaccard(a, b) == StringSim.jaccard(b, a))
-      assert(math.abs(StringSim.trigramCosine(a, b) - StringSim.trigramCosine(b, a)) < 1e-12)
+      assert(jaccard(a, b) == jaccard(b, a))
+      assert(math.abs(trigramCosine(a, b) - trigramCosine(b, a)) < 1e-12)
     }
   }
   test("synonyms are invisible to string similarity (the baseline's blind spot)") {
     // Lexically unrelated surface forms of one concept score low on every metric.
-    assert(StringSim.jaccard("rakemi", "tolave") == 0.0)
-    assert(StringSim.trigramCosine("rakemi", "tolave") < 0.3)
+    assert(jaccard("rakemi", "tolave") == 0.0)
+    assert(trigramCosine("rakemi", "tolave") < 0.3)
     assert(StringSim.levenshteinSim("rakemi", "tolave") < 0.5)
   }
 }

@@ -16,9 +16,6 @@ class TokenizerSpec extends AnyFunSuite {
   test("handles tabs and newlines as separators") {
     assert(Tokenizer.tokenize("a\tb\nc") == Seq("a", "b", "c"))
   }
-  test("tokenizeTuple maps per attribute") {
-    assert(Tokenizer.tokenizeTuple(Seq("A b", null)) == Seq(Seq("a", "b"), Seq()))
-  }
 }
 
 class SimilaritySpec extends AnyFunSuite {
@@ -32,15 +29,6 @@ class SimilaritySpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       Similarity.cosineVector(Array(Array(1.0)), Array(Array(1.0), Array(2.0)))
     }
-  }
-  test("absDiffVector is element-wise absolute difference") {
-    assert(Similarity.absDiffVector(Array(1.0, -2.0), Array(3.0, 1.0)).sameElements(Array(2.0, 3.0)))
-  }
-  test("absDiffVector of identical vectors is zero (Example 3 semantics)") {
-    assert(Similarity.absDiffVector(Array(1.0, 2.0), Array(1.0, 2.0)).forall(_ == 0.0))
-  }
-  test("hadamardVector multiplies element-wise") {
-    assert(Similarity.hadamardVector(Array(2.0, 3.0), Array(1.0, -1.0)).sameElements(Array(2.0, -3.0)))
   }
   test("tupleCosine flattens and compares whole tuples") {
     val va = Array(Array(1.0, 0.0), Array(0.0, 0.0))

@@ -3,7 +3,8 @@ package repro.core
 import repro.SparkSpec
 import repro.data.ERDatasets
 import repro.embedding.SyntheticGlove
-import repro.nn.{AvgComp, LstmComp}
+import repro.exp.Experiments
+import repro.nn.{AvgComp, BiLstmComp, MLPClassifier}
 
 class DeepERSpec extends SparkSpec {
 
@@ -12,6 +13,18 @@ class DeepERSpec extends SparkSpec {
   private lazy val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
   private lazy val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
   private lazy val matches = ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
+
+  /** DeepER-avg per fold: the Table-4 harness's preparation, then
+    * cross-validation of the Figure-5 head.
+    */
+  private def avgFolds(cfg: DeepER.Config): Seq[PRF] = {
+    val p = Experiments.prepare(spark, ds, dict, cfg.negRatio, cfg.seed)
+    DeepER.crossValidate(p.cosFeats, p.labels, cfg, (xs, ys, s) => {
+      val mlp = new MLPClassifier(ds.attrs.size, cfg.hidden, s)
+      mlp.fit(xs, ys, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, s)
+      mlp.predictProb _
+    })
+  }
 
   test("samplePairs yields 1 + negRatio pairs per match") {
     val (pairs, _) = DeepER.samplePairs(matches, vecsA, vecsB, negRatio = 4, seed = 1)
@@ -49,7 +62,7 @@ class DeepERSpec extends SparkSpec {
 
   test("a dataset without gold matches fails at the entry point with its name") {
     val empty = ds.copy(matches = ds.matches.limit(0))
-    val e = intercept[IllegalArgumentException](repro.exp.Experiments.prepare(spark, empty, dict, negRatio = 2))
+    val e = intercept[IllegalArgumentException](Experiments.prepare(spark, empty, dict, negRatio = 2))
     assert(e.getMessage.contains(s"dataset ${ds.name} has no gold matches"), e.getMessage)
   }
 
@@ -58,31 +71,41 @@ class DeepERSpec extends SparkSpec {
     val labels = IndexedSeq.tabulate(200)(i => if (i < 40) 1.0 else 0.0)
     val cfg = DeepER.Config(folds = 4, epochs = 5)
     val prfs = DeepER.crossValidate(feats, labels, cfg, (xs, ys, s) => {
-      val m = new repro.nn.MLPClassifier(1, 4, s); m.fit(xs, ys, 10); m.predictProb _
+      val m = new MLPClassifier(1, 4, s); m.fit(xs, ys, 10); m.predictProb _
     })
     assert(prfs.size == 4)
     assert(prfs.forall(_.f1 > 0.9)) // trivially separable
   }
 
-  test("runAvg achieves high F1 on the easy Rest-FZ dataset") {
-    val prfs = DeepER.runAvg(spark, ds, dict,
-      DeepER.Config(negRatio = 4, folds = 3, epochs = 12, seed = 5))
+  test("crossValidate rejects fewer than two folds") {
+    // One fold would train on an empty split; zero folds would average no F1s.
+    val feats = IndexedSeq.tabulate(20)(i => Array(i.toDouble))
+    val labels = IndexedSeq.tabulate(20)(i => if (i < 5) 1.0 else 0.0)
+    for (k <- Seq(0, 1)) {
+      var fits = 0
+      val e = intercept[IllegalArgumentException] {
+        DeepER.crossValidate(feats, labels, DeepER.Config(folds = k), (_, _, _) => { fits += 1; _ => 0.5 })
+      }
+      assert(e.getMessage.contains(s"got $k"), e.getMessage)
+      assert(fits == 0)
+    }
+  }
+
+  test("DeepER-avg achieves high F1 on the easy Rest-FZ dataset") {
+    val prfs = avgFolds(DeepER.Config(negRatio = 4, folds = 3, epochs = 12, seed = 5))
     val f1 = DeepER.meanF1(prfs)
     assert(f1 > 90.0, s"F1 = $f1")
   }
 
   test("trainFraction knob reduces the training set without crashing the protocol") {
-    val prfs = DeepER.runAvg(spark, ds, dict,
-      DeepER.Config(negRatio = 4, folds = 2, epochs = 8, trainFraction = 0.1, seed = 6))
+    val prfs = avgFolds(DeepER.Config(negRatio = 4, folds = 2, epochs = 8, trainFraction = 0.1, seed = 6))
     assert(prfs.size == 2)
     assert(prfs.forall(p => p.f1 >= 0.0 && p.f1 <= 1.0))
   }
 
   test("heavy label noise lowers F1 relative to clean labels") {
-    val clean = DeepER.meanF1(DeepER.runAvg(spark, ds, dict,
-      DeepER.Config(negRatio = 4, folds = 2, epochs = 10, seed = 7)))
-    val noisy = DeepER.meanF1(DeepER.runAvg(spark, ds, dict,
-      DeepER.Config(negRatio = 4, folds = 2, epochs = 10, seed = 7, labelNoise = 0.45)))
+    val clean = DeepER.meanF1(avgFolds(DeepER.Config(negRatio = 4, folds = 2, epochs = 10, seed = 7)))
+    val noisy = DeepER.meanF1(avgFolds(DeepER.Config(negRatio = 4, folds = 2, epochs = 10, seed = 7, labelNoise = 0.45)))
     assert(noisy <= clean, s"noisy=$noisy clean=$clean")
   }
 
@@ -108,7 +131,7 @@ class DeepERSpec extends SparkSpec {
   }
 
   test("runNet with LSTM composition runs end-to-end (smoke, tiny epochs)") {
-    val prfs = DeepER.runNet(spark, ds, dict, LstmComp(10), trainEmbeddings = false,
+    val prfs = DeepER.runNet(spark, ds, dict, BiLstmComp(10), trainEmbeddings = false,
       DeepER.Config(negRatio = 1, folds = 2, epochs = 2, maxTokensPerAttr = 5, seed = 9))
     assert(prfs.size == 2)
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.embedding.EmbeddingDict
-import repro.nn.{Linalg, LSTMParams, Mat}
+import repro.nn.Linalg
 
 class TupleEmbedderSpec extends SparkSpec {
   import org.apache.spark.sql.Row
@@ -59,28 +59,6 @@ class TupleEmbedderSpec extends SparkSpec {
     val m = TupleEmbedder.collectAvgVectors(spark, df, Seq("name", "city"), dict)
     assert(m(5L)(0).sameElements(Array(0.0, 1.0)))
     assert(m(5L)(1).forall(_ == 0.0))
-  }
-
-  test("withLstmVectors produces hidDim-sized DRs for every tuple") {
-    val df = mkDf(Seq((0L, "bill gates", "seattle"), (1L, null, null)))
-    val (index, emb, unkIdx) = dict.toTable(Seq("bill", "gates", "seattle"))
-    val lstm = new LSTMParams(2, 5, seed = 1)
-    val out = TupleEmbedder.withLstmVectors(spark, df, Seq("name", "city"), index, unkIdx, emb, lstm)
-    val drs = out.orderBy("id").select("dr").collect().map(_.getSeq[Double](0))
-    assert(drs.forall(_.size == 5))
-    // Tuple with no tokens gets the zero hidden state.
-    assert(drs(1).forall(_ == 0.0))
-  }
-
-  test("lstm DR equals a driver-side forward pass (distributed = local)") {
-    val df = mkDf(Seq((0L, "bill gates", "seattle")))
-    val (index, emb, unkIdx) = dict.toTable(Seq("bill", "gates", "seattle"))
-    val lstm = new LSTMParams(2, 4, seed = 2)
-    val out = TupleEmbedder.withLstmVectors(spark, df, Seq("name", "city"), index, unkIdx, emb, lstm)
-    val got = out.select("dr").head().getSeq[Double](0).toArray
-    val xs = Seq("bill", "gates", "seattle").map(t => emb.row(index(t))).toArray
-    val expected = repro.nn.LSTM.forward(lstm, xs).last
-    assert(got.zip(expected).forall { case (a, b) => math.abs(a - b) < 1e-12 })
   }
 
   test("matched tuples have higher DR cosine than unmatched (semantic property)") {

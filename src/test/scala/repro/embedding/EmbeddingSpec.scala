@@ -46,8 +46,8 @@ class EmbeddingDictSpec extends AnyFunSuite {
   }
 
   test("cosine helper works through the dictionary") {
-    assert(math.abs(dict.cosine("alpha", "alpha") - 1.0) < 1e-9)
-    assert(math.abs(dict.cosine("alpha", "beta")) < 1e-9)
+    assert(math.abs(Linalg.cosine(dict.lookup("alpha"), dict.lookup("alpha")) - 1.0) < 1e-9)
+    assert(math.abs(Linalg.cosine(dict.lookup("alpha"), dict.lookup("beta"))) < 1e-9)
   }
 }
 
@@ -60,13 +60,14 @@ class SyntheticGloveSpec extends AnyFunSuite {
 
   test("synonyms (same concept) have high cosine") {
     val d = SyntheticGlove.build(forms, dim = 50)
-    assert(d.cosine("bill", "william") > 0.85)
+    assert(Linalg.cosine(d.lookup("bill"), d.lookup("william")) > 0.85)
   }
 
   test("unrelated concepts are near-orthogonal") {
     val d = SyntheticGlove.build(forms, dim = 50)
-    assert(math.abs(d.cosine("bill", "seattle")) < 0.5)
-    assert(d.cosine("bill", "seattle") < d.cosine("bill", "william"))
+    assert(math.abs(Linalg.cosine(d.lookup("bill"), d.lookup("seattle"))) < 0.5)
+    assert(Linalg.cosine(d.lookup("bill"), d.lookup("seattle")) <
+      Linalg.cosine(d.lookup("bill"), d.lookup("william")))
   }
 
   test("vectors are unit norm") {
@@ -97,7 +98,8 @@ class SyntheticGloveSpec extends AnyFunSuite {
   test("larger noise lowers synonym cosine") {
     val tight = SyntheticGlove.build(forms, dim = 50, noiseStd = 0.1)
     val loose = SyntheticGlove.build(forms, dim = 50, noiseStd = 0.8)
-    assert(tight.cosine("bill", "william") > loose.cosine("bill", "william"))
+    assert(Linalg.cosine(tight.lookup("bill"), tight.lookup("william")) >
+      Linalg.cosine(loose.lookup("bill"), loose.lookup("william")))
   }
 
   test("hashVector is deterministic and unit length") {

@@ -2,6 +2,7 @@ package repro.embedding
 
 import repro.SparkSpec
 import repro.core.Tokenizer
+import repro.nn.Linalg
 
 class GloveTrainerSpec extends SparkSpec {
   import org.apache.spark.sql.functions._
@@ -47,7 +48,8 @@ class GloveTrainerSpec extends SparkSpec {
   test("trained embeddings put co-occurring words closer than unrelated ones") {
     val counts = GloveTrainer.cooccurrenceCounts(spark, docs, "toks")
     val dict = GloveTrainer.fit(counts, dim = 16, epochs = 40, seed = 3)
-    assert(dict.cosine("cat", "dog") > dict.cosine("cat", "fish"))
+    assert(Linalg.cosine(dict.lookup("cat"), dict.lookup("dog")) >
+      Linalg.cosine(dict.lookup("cat"), dict.lookup("fish")))
   }
 
   test("fit covers the whole vocabulary and is deterministic") {

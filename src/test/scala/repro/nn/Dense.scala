@@ -1,6 +1,9 @@
 package repro.nn
 
-/** Activation functions used by the dense layers of Figure 5. */
+// Dense layers, the building block of ReferenceMLP: the layer-by-layer
+// Figure-5 head that MLPClassifier must reproduce bit for bit.
+
+/** Activation functions of the two dense layers. */
 sealed trait Activation extends Serializable {
   def f(x: Double): Double
   /** Derivative expressed in terms of the activation *output* y = f(x). */
@@ -9,10 +12,6 @@ sealed trait Activation extends Serializable {
 case object Tanh extends Activation {
   def f(x: Double): Double = Linalg.tanh(x)
   def dfFromOut(y: Double): Double = 1.0 - y * y
-}
-case object ReLU extends Activation {
-  def f(x: Double): Double = if (x > 0) x else 0.0
-  def dfFromOut(y: Double): Double = if (y > 0) 1.0 else 0.0
 }
 case object Identity extends Activation {
   def f(x: Double): Double = x

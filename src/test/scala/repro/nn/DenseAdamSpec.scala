@@ -18,13 +18,6 @@ class DenseAdamSpec extends AnyFunSuite {
     assert(y.forall(v => v >= -1.0 && v <= 1.0))
   }
 
-  test("relu zeroes negatives") {
-    val p = new DenseParams(1, 1, ReLU, 3)
-    p.W.setRow(0, Array(1.0))
-    assert(Dense.forward(p, Array(-2.0)).y(0) == 0.0)
-    assert(Dense.forward(p, Array(2.0)).y(0) == 2.0)
-  }
-
   private def checkDenseGrads(act: Activation): Unit = {
     val rng = new scala.util.Random(4)
     val p = new DenseParams(3, 2, act, 5)

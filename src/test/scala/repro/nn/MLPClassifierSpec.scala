@@ -32,6 +32,22 @@ class MLPClassifierSpec extends AnyFunSuite {
     (xs ++ probe).foreach(x => assert(fused.predictProb(x) == ref.predictProb(x)))
   }
 
+  test("accumulate's dL/dx equals the Dense reference's input gradient") {
+    for (inDim <- Seq(1, 4, 17)) {
+      val (xs, ys) = data(48, inDim, seed = inDim)
+      val fused = new MLPClassifier(inDim, 50, seed = 4)
+      val ref = new ReferenceMLP(inDim, 50, seed = 4)
+      fused.fit(xs, ys, epochs = 2, seed = 5)
+      ref.fit(xs, ys, epochs = 2, seed = 5)
+      val g = fused.grads(new Adam())
+      val dx = Array.fill(inDim)(Double.NaN) // overwritten, not added to
+      for ((x, y) <- xs.zip(ys)) {
+        fused.accumulate(x, y, g, dx)
+        assert(dx.toSeq == ref.inputGrad(x, y).toSeq, s"inDim=$inDim")
+      }
+    }
+  }
+
   test("the index shuffle draws the same permutation as Random.shuffle") {
     for (n <- Seq(0, 1, 2, 17, 10560); seed <- Seq(0L, 1L, 7L, 42L, -5L)) {
       val rng = new scala.util.Random(seed)

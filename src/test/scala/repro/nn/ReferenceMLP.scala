@@ -1,8 +1,9 @@
 package repro.nn
 
 /** The Figure-5 head written layer by layer with [[Dense]], as
-  * [[MLPClassifier]] was before its training loop was fused. Kept as the
-  * reference the fused kernel must reproduce bit for bit.
+  * [[MLPClassifier]] was before its training loop was fused (and as
+  * [[DeepERNet]]'s head was before it shared [[MLPClassifier]]). Kept as
+  * the reference the fused kernel must reproduce bit for bit.
   */
 final class ReferenceMLP(val inDim: Int, val hidden: Int = 50, seed: Long = 42) {
   private val dense1 = new DenseParams(inDim, hidden, Tanh, seed)
@@ -14,6 +15,15 @@ final class ReferenceMLP(val inDim: Int, val hidden: Int = 50, seed: Long = 42) 
     val t1 = Dense.forward(dense1, x)
     val t2 = Dense.forward(dense2, t1.y)
     Linalg.sigmoid(t2.y(0))
+  }
+
+  /** dL/dx of the BCE loss of one example, from the layers' backward passes. */
+  def inputGrad(x: Array[Double], y: Double): Array[Double] = {
+    val t1 = Dense.forward(dense1, x)
+    val t2 = Dense.forward(dense2, t1.y)
+    val p = Linalg.sigmoid(t2.y(0))
+    val dH = Dense.backward(dense2, t2, Array(p - y), dense2.zeroGrads)
+    Dense.backward(dense1, t1, dH, dense1.zeroGrads)
   }
 
   def fit(
