@@ -30,7 +30,7 @@ object BlockingExperiments {
   def sweepK(spark: SparkSession, p: BlockPrep, ks: Seq[Int], l: Int = 10): Seq[(Int, Double, Double)] =
     ks.map { k =>
       val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
-      val cands = RandomHyperplaneLSH.candidatePairs(spark, p.drA, p.drB, m)
+      val cands = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq())
       val (pc, rr) = RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, p.ds.nA, p.ds.nB)
       (k, pc, rr)
     }
@@ -39,7 +39,7 @@ object BlockingExperiments {
   def sweepL(spark: SparkSession, p: BlockPrep, ls: Seq[Int], k: Int = 4): Seq[(Int, Double, Double)] =
     ls.map { l =>
       val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
-      val cands = RandomHyperplaneLSH.candidatePairs(spark, p.drA, p.drB, m)
+      val cands = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq())
       val (pc, rr) = RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, p.ds.nA, p.ds.nB)
       (l, pc, rr)
     }
@@ -47,7 +47,10 @@ object BlockingExperiments {
   /** Train the DeepER classifier once on the paper's sampled pairs, then
     * apply it *distributed* to every blocked candidate pair (Algorithm 4
     * line 9) and measure end-to-end precision/recall against the gold
-    * matches (Figure 11).
+    * matches (Figure 11). Each candidate row carries both tuples'
+    * per-attribute vectors out of the bucket join, so scoring needs no
+    * further join; the predicted pairs are collected and checked against
+    * the gold set on the driver.
     */
   def endToEnd(
       spark: SparkSession,
@@ -57,15 +60,46 @@ object BlockingExperiments {
       maxTrainNeg: Int = 30000,
   ): Seq[(Int, Int, Double, Double)] = {
     val matches = DeepER.goldMatches(p.ds)
+    val gold = matches.toSet
+    val (mlp, threshold) = blockedClassifier(spark, p, matches, cfg, maxTrainNeg)
+    val bMlp = spark.sparkContext.broadcast(mlp)
+    val score = udf { (va: Seq[Seq[Double]], vb: Seq[Seq[Double]]) =>
+      val sim = Similarity.cosineVector(va.map(_.toArray).toArray, vb.map(_.toArray).toArray)
+      bMlp.value.predictProb(sim)
+    }
+    configs.map { case (k, l) =>
+      val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
+      val predicted = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq("vecs"))
+        .where(score(col("vecsA"), col("vecsB")) >= threshold)
+        .select("idA", "idB")
+        .collect()
+      val tp = predicted.count(r => gold((r.getLong(0), r.getLong(1))))
+      val prec = if (predicted.isEmpty) 0.0 else tp.toDouble / predicted.length
+      val rec = tp.toDouble / matches.size
+      (k, l, prec, rec)
+    }
+  }
+
+  /** `endToEnd`'s classifier and its threshold.
+    *
+    * Train on negatives drawn from the *blocked candidate* distribution
+    * (K=4, L=10): the classifier must reject exactly the high-similarity
+    * non-matches that share a bucket with true duplicates, at ~10^3
+    * negatives per positive — the paper's protocol sample (negatives
+    * below the minimum matched cosine) never shows it those. The sample
+    * shuffles `candidatePairs`' collect order, so it must stay on that
+    * `distinct()` plan to keep the recorded results.
+    */
+  private[exp] def blockedClassifier(
+      spark: SparkSession,
+      p: BlockPrep,
+      matches: IndexedSeq[(Long, Long)],
+      cfg: DeepER.Config,
+      maxTrainNeg: Int,
+  ): (MLPClassifier, Double) = {
     val vecsA = TupleEmbedder.collectVecs(p.drA)
     val vecsB = TupleEmbedder.collectVecs(p.drB)
     val gold = matches.toSet
-
-    // Train on negatives drawn from the *blocked candidate* distribution
-    // (K=4, L=10): the classifier must reject exactly the high-similarity
-    // non-matches that share a bucket with true duplicates, at ~10^3
-    // negatives per positive — the paper's protocol sample (negatives
-    // below the minimum matched cosine) never shows it those.
     val trainCands = RandomHyperplaneLSH.candidatePairs(
       spark, p.drA, p.drB, RandomHyperplaneLSH.model(p.dim, 4, 10, seed = 31))
     val negPairs = trainCands.collect()
@@ -78,31 +112,7 @@ object BlockingExperiments {
     }
     val mlp = new MLPClassifier(p.ds.attrs.size, cfg.hidden, cfg.seed)
     mlp.fit(feats.map(_._1), feats.map(_._2), cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, cfg.seed)
-    val threshold = DeepER.bestThreshold(feats.map(f => mlp.predictProb(f._1)), feats.map(_._2))
-    val bMlp = spark.sparkContext.broadcast(mlp)
-    val score = udf { (va: Seq[Seq[Double]], vb: Seq[Seq[Double]]) =>
-      val sim = Similarity.cosineVector(va.map(_.toArray).toArray, vb.map(_.toArray).toArray)
-      bMlp.value.predictProb(sim)
-    }
-    val nGold = p.ds.matches.count()
-    configs.map { case (k, l) =>
-      val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
-      val cands = RandomHyperplaneLSH.candidatePairs(spark, p.drA, p.drB, m)
-      val scored = cands
-        .join(p.drA.select(col("id").as("idA"), col("vecs").as("va")), "idA")
-        .join(p.drB.select(col("id").as("idB"), col("vecs").as("vb")), "idB")
-        .withColumn("prob", score(col("va"), col("vb")))
-        .where(col("prob") >= threshold)
-        .select("idA", "idB")
-        .cache()
-      val nPred = scored.count()
-      val tp = scored.join(p.ds.matches,
-        scored("idA") === p.ds.matches("idA") && scored("idB") === p.ds.matches("idB")).count()
-      scored.unpersist()
-      val prec = if (nPred == 0) 0.0 else tp.toDouble / nPred
-      val rec = tp.toDouble / nGold
-      (k, l, prec, rec)
-    }
+    (mlp, DeepER.bestThreshold(feats.map(f => mlp.predictProb(f._1)), feats.map(_._2)))
   }
 
   /** Figure 12: multi-probe recall at L=1, K=10 for varying top-N. */

@@ -15,7 +15,7 @@ object MultiProbeLSH {
     * For mp ≤ 2 and K ≤ 30 this is 1 + K + K(K-1)/2 codes.
     */
   def probeCodes(code: Int, k: Int, mp: Int): Seq[Int] = {
-    require(mp >= 0 && mp <= 2, "probe sequences implemented for mp <= 2")
+    require(mp >= 0 && mp <= 2, s"probe sequences are implemented for mp in 0..2, got mp = $mp")
     val d0 = Seq(code)
     val d1 = if (mp >= 1) (0 until k).map(i => code ^ (1 << i)) else Nil
     val d2 =
@@ -27,7 +27,8 @@ object MultiProbeLSH {
 
   /** Candidate pairs where each A-tuple probes `mp`-perturbed buckets of
     * every hash table and keeps its top-N candidates by cosine similarity
-    * of the DRs (computed distributed via a join on the B side).
+    * of the DRs (computed distributed; both sides carry their DRs through
+    * the bucket join).
     *
     * @return DataFrame(idA, idB, sim)
     */
@@ -50,9 +51,7 @@ object MultiProbeLSH {
     val sa = drA.select(col("id").as("idA"), col("dr").as("drA"),
       explode(probeSig(col("dr"))).as("tc"))
       .select(col("idA"), col("drA"), col("tc._1").as("table"), col("tc._2").as("code"))
-    val sb = RandomHyperplaneLSH.signatures(spark, drB, m)
-      .withColumnRenamed("id", "idB")
-      .join(drB.select(col("id").as("idB"), col("dr").as("drB")), "idB")
+    val sb = RandomHyperplaneLSH.bucketRows(spark, drB, m, "B", Seq("dr")).drop("codesB")
 
     val cos = udf { (a: Seq[Double], b: Seq[Double]) =>
       repro.nn.Linalg.cosine(a.toArray, b.toArray)

@@ -11,10 +11,13 @@ import repro.nn.Linalg
   * (stored as an Int bitmask, K ≤ 30). Blocking is a *distributed
   * similarity join*: both tables' DRs are signed per partition, exploded
   * to (table, bucket) keys, and candidates come from a shuffle join on
-  * the bucket key.
+  * the bucket key. `candidatesWith` keeps a pair only in the first table
+  * where it collides, so its join output is distinct without a second
+  * shuffle.
   */
 final case class LSHModel(K: Int, L: Int, dim: Int, planes: Array[Array[Array[Double]]]) extends Serializable {
-  require(K <= 30, "K must fit an Int bitmask")
+  require(K >= 1 && K <= 30, s"K must be in 1..30 (the code is an Int bitmask), got K = $K")
+  require(L >= 1, s"L must be at least 1, got L = $L")
 
   /** K-bit signature of `v` in hash table `l`: bit k set iff v·h_k ≥ 0. */
   def signature(v: Array[Double], l: Int): Int = {
@@ -51,13 +54,56 @@ object RandomHyperplaneLSH {
   }
 
   /** Candidate pairs across two relations: tuples sharing a bucket in any
-    * hash table (deduplicated). This is the blocking output on which the
-    * classifier is invoked.
+    * hash table (deduplicated). `candidatesWith` gives the same set from
+    * one shuffle; this form stays because the blocked-negative training
+    * sample of `BlockingExperiments.endToEnd` depends on the collect order
+    * that `distinct()` produces.
     */
   def candidatePairs(spark: SparkSession, drA: DataFrame, drB: DataFrame, m: LSHModel): DataFrame = {
     val sa = signatures(spark, drA, m).withColumnRenamed("id", "idA")
     val sb = signatures(spark, drB, m).withColumnRenamed("id", "idB")
     sa.join(sb, Seq("table", "code")).select("idA", "idB").distinct()
+  }
+
+  /** Candidate pairs across two relations, each row carrying `carry`
+    * columns of both tuples (suffixed `A`/`B`): (idA, idB, carryA…,
+    * carryB…). Same pair set as `candidatePairs`, from one shuffle join.
+    * Each tuple is signed once into its L codes; a colliding pair is kept
+    * only in the first table where its codes agree, so the join output is
+    * already distinct and needs no `distinct()` or join back for the
+    * carried columns. Row order differs from `candidatePairs`.
+    */
+  def candidatesWith(spark: SparkSession, drA: DataFrame, drB: DataFrame, m: LSHModel,
+      carry: Seq[String]): DataFrame = {
+    val firstCollision = udf { (ca: Seq[Int], cb: Seq[Int]) =>
+      var l = 0
+      while (l < ca.length && ca(l) != cb(l)) l += 1
+      l
+    }
+    bucketRows(spark, drA, m, "A", carry)
+      .join(bucketRows(spark, drB, m, "B", carry), Seq("table", "code"))
+      .where(col("table") === firstCollision(col("codesA"), col("codesB")))
+      .select((Seq("idA", "idB") ++ carry.map(_ + "A") ++ carry.map(_ + "B")).map(col): _*)
+  }
+
+  /** One side of the bucket join: each tuple signed once into `codes<s>`
+    * (its L codes), then exploded to one row per (table, code), with
+    * `id` and the `carry` columns renamed with suffix `s`.
+    */
+  private[lsh] def bucketRows(spark: SparkSession, df: DataFrame, m: LSHModel, s: String,
+      carry: Seq[String]): DataFrame = {
+    val bm = spark.sparkContext.broadcast(m)
+    val codes = udf { (dr: Seq[Double]) =>
+      val v = dr.toArray
+      Array.tabulate(bm.value.L)(l => bm.value.signature(v, l))
+    }
+    val kept = (col("id").as(s"id$s") +: carry.map(c => col(c).as(c + s))) :+
+      codes(col("dr")).as(s"codes$s")
+    // `_outer` changes no rows (the array has L >= 1 codes), but it stops
+    // Catalyst from inferring a non-empty filter that would sign each
+    // tuple twice more.
+    df.select(kept: _*)
+      .select(col("*"), posexplode_outer(col(s"codes$s")).as(Seq("table", "code")))
   }
 
   /** Blocking-quality metrics of Section 5.4.

@@ -58,6 +58,4 @@ final class Adam(lr: Double = 0.01, beta1: Double = 0.9, beta2: Double = 0.999, 
       }
     }
   }
-
-  def zeroGrads(): Unit = slots.foreach(s => java.util.Arrays.fill(s.grad, 0.0))
 }

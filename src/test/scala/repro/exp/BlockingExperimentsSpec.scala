@@ -1,0 +1,44 @@
+package repro.exp
+
+import org.apache.spark.sql.functions._
+import repro.SparkSpec
+import repro.core.{DeepER, Similarity}
+import repro.data.ERDatasets
+import repro.lsh.RandomHyperplaneLSH
+
+class BlockingExperimentsSpec extends SparkSpec {
+
+  test("endToEnd precision/recall equal the candidatePairs + vecs joins + matches join formula") {
+    val ds = ERDatasets.restFZ(spark)
+    val p = BlockingExperiments.prepareBlocks(spark, ds)
+    val cfg = DeepER.Config(folds = 1, epochs = 3)
+    val configs = Seq((1, 2), (4, 3), (10, 2))
+    val rows = BlockingExperiments.endToEnd(spark, p, configs, cfg, maxTrainNeg = 2000)
+
+    // The scoring formula as a chain of joins: deduplicated candidates,
+    // one join per side for the vectors, one join against the gold table.
+    val (mlp, threshold) =
+      BlockingExperiments.blockedClassifier(spark, p, DeepER.goldMatches(ds), cfg, maxTrainNeg = 2000)
+    val bMlp = spark.sparkContext.broadcast(mlp)
+    val score = udf { (va: Seq[Seq[Double]], vb: Seq[Seq[Double]]) =>
+      bMlp.value.predictProb(Similarity.cosineVector(va.map(_.toArray).toArray, vb.map(_.toArray).toArray))
+    }
+    val nGold = ds.matches.count()
+    val expected = configs.map { case (k, l) =>
+      val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
+      val scored = RandomHyperplaneLSH.candidatePairs(spark, p.drA, p.drB, m)
+        .join(p.drA.select(col("id").as("idA"), col("vecs").as("va")), "idA")
+        .join(p.drB.select(col("id").as("idB"), col("vecs").as("vb")), "idB")
+        .withColumn("prob", score(col("va"), col("vb")))
+        .where(col("prob") >= threshold)
+        .select("idA", "idB")
+      val nPred = scored.count()
+      val tp = scored.join(ds.matches,
+        scored("idA") === ds.matches("idA") && scored("idB") === ds.matches("idB")).count()
+      (k, l, if (nPred == 0) 0.0 else tp.toDouble / nPred, tp.toDouble / nGold)
+    }
+    assert(rows == expected)
+    assert(rows.forall { case (_, _, prec, rec) => prec > 0.0 && rec > 0.0 }, rows)
+    p.drA.unpersist(); p.drB.unpersist()
+  }
+}

@@ -29,7 +29,15 @@ class LSHSpec extends SparkSpec {
   }
 
   test("model rejects K > 30") {
-    intercept[IllegalArgumentException](RandomHyperplaneLSH.model(10, 31, 1))
+    val e = intercept[IllegalArgumentException](RandomHyperplaneLSH.model(10, 31, 1))
+    assert(e.getMessage.contains("got K = 31"), e.getMessage)
+  }
+
+  test("model rejects K < 1 and L < 1, naming the value") {
+    val k0 = intercept[IllegalArgumentException](RandomHyperplaneLSH.model(10, 0, 1))
+    assert(k0.getMessage.contains("got K = 0"), k0.getMessage)
+    val l0 = intercept[IllegalArgumentException](RandomHyperplaneLSH.model(10, 4, 0))
+    assert(l0.getMessage.contains("got L = 0"), l0.getMessage)
   }
 
   test("signature is a K-bit code and deterministic") {
@@ -92,6 +100,47 @@ class LSHSpec extends SparkSpec {
       cands,
       "SELECT DISTINCT sa.idA AS idA, sb.idB AS idB FROM sa JOIN sb ON sa.tbl = sb.tbl AND sa.code = sb.code ORDER BY idA, idB",
       "sa" -> sa, "sb" -> sb)
+  }
+
+  test("candidatesWith equals the DuckDB DISTINCT bucket join, without duplicates (K in {1,4}, L in {1,3})") {
+    val a = drDf(randVecs(30, 6, 9))
+    val b = drDf(randVecs(40, 6, 10))
+    for (k <- Seq(1, 4); l <- Seq(1, 3)) {
+      val m = RandomHyperplaneLSH.model(6, k, l, seed = 8)
+      val cands = RandomHyperplaneLSH.candidatesWith(spark, a, b, m, Seq())
+      val sa = RandomHyperplaneLSH.signatures(spark, a, m)
+        .withColumnRenamed("id", "idA").withColumnRenamed("table", "tbl")
+      val sb = RandomHyperplaneLSH.signatures(spark, b, m)
+        .withColumnRenamed("id", "idB").withColumnRenamed("table", "tbl")
+      // The oracle compares rows with multiplicity, so a duplicate pair fails it.
+      Oracle.assertEquivalent(
+        cands,
+        "SELECT DISTINCT sa.idA AS idA, sb.idB AS idB FROM sa JOIN sb ON sa.tbl = sb.tbl AND sa.code = sb.code",
+        "sa" -> sa, "sb" -> sb)
+    }
+  }
+
+  test("candidatesWith carries each tuple's own column values") {
+    val va = randVecs(25, 5, 30); val vb = randVecs(35, 5, 31)
+    def tagged(vs: Seq[(Long, Array[Double])]) = drDf(vs).withColumn("tag", col("id") * 10 + 3)
+    val m = RandomHyperplaneLSH.model(5, 2, 3, seed = 32)
+    val rows = RandomHyperplaneLSH.candidatesWith(spark, tagged(va), tagged(vb), m, Seq("dr", "tag")).collect()
+    assert(rows.nonEmpty)
+    val (drA, drB) = (va.toMap, vb.toMap)
+    rows.foreach { r =>
+      val (idA, idB) = (r.getAs[Long]("idA"), r.getAs[Long]("idB"))
+      assert(r.getSeq[Double](r.fieldIndex("drA")) == drA(idA).toSeq)
+      assert(r.getSeq[Double](r.fieldIndex("drB")) == drB(idB).toSeq)
+      assert(r.getAs[Long]("tagA") == idA * 10 + 3)
+      assert(r.getAs[Long]("tagB") == idB * 10 + 3)
+    }
+    assert(rows.head.schema.fieldNames.toSeq == Seq("idA", "idB", "drA", "tagA", "drB", "tagB"))
+  }
+
+  test("candidatesWith of an empty B side has no rows") {
+    val m = RandomHyperplaneLSH.model(6, 1, 3, seed = 33)
+    val cands = RandomHyperplaneLSH.candidatesWith(spark, drDf(randVecs(20, 6, 34)), drDf(Nil), m, Seq("dr"))
+    assert(cands.count() == 0)
   }
 
   test("an exact duplicate is always a candidate") {
@@ -165,7 +214,8 @@ class MultiProbeLSHSpec extends SparkSpec {
   }
 
   test("probeCodes rejects mp > 2") {
-    intercept[IllegalArgumentException](MultiProbeLSH.probeCodes(0, 4, 3))
+    val e = intercept[IllegalArgumentException](MultiProbeLSH.probeCodes(0, 4, 3))
+    assert(e.getMessage.contains("got mp = 3"), e.getMessage)
   }
 
   test("topNCandidates keeps at most N candidates per A tuple") {
