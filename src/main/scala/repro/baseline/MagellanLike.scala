@@ -36,7 +36,7 @@ object MagellanLike {
         capped = if (v == null) null else v.take(capLen),
         toks = StringSim.tokens(v),
         trigrams = StringSim.trigrams(if (v == null) null else v.take(120)),
-        numeric = try { Option(v).map(_.toDouble) } catch { case _: Exception => None },
+        numeric = StringSim.parseNumber(v),
       )
     }.toArray)
 
@@ -54,10 +54,8 @@ object MagellanLike {
       out(base + 3) = StringSim.overlap(a.toks, b.toks)
       out(base + 4) = StringSim.exact(a.raw, b.raw)
       out(base + 5) = (a.numeric, b.numeric) match {
-        case (Some(x), Some(y)) =>
-          val d = math.max(math.abs(x), math.abs(y))
-          if (d == 0.0) 1.0 else math.max(0.0, 1.0 - math.abs(x - y) / d)
-        case _ => 0.0
+        case (Some(x), Some(y)) => StringSim.numericCloseness(x, y)
+        case _                  => 0.0
       }
       k += 1
     }
@@ -89,9 +87,13 @@ object MagellanLike {
     val profB = collectProfiles(ds, ds.tableB)
     val feats = pairs.map(p => features(profA(p.a), profB(p.b)))
     val labels = pairs.map(_.label)
-    DeepER.crossValidate(feats, labels, cfg, (xs, ys, s) => {
-      val forest = RandomForest.fit(xs, ys, nTrees = nTrees, seed = s)
-      forest.predictProb _
-    })
+    // Each fold grows its own forest from its own RNG, so the folds train
+    // at once on the global pool.
+    DeepER.crossValidateOn(feats, labels, cfg) { (xs, ys, s) =>
+      DeepER.startFit {
+        val forest = RandomForest.fit(xs, ys, nTrees = nTrees, seed = s)
+        forest.predictProb _
+      }
+    }
   }
 }

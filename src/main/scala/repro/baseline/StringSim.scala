@@ -103,11 +103,22 @@ object StringSim {
   def exact(a: String, b: String): Double =
     if (bothEmpty(a, b)) 1.0 else if (a != null && a == b) 1.0 else 0.0
 
+  /** The number a string spells, if any. */
+  def parseNumber(s: String): Option[Double] =
+    try { Option(s).map(_.toDouble) } catch { case _: Exception => None }
+
+  /** Relative closeness of two numbers: 1 when equal, falling linearly to
+    * 0 as their difference reaches the larger magnitude.
+    */
+  def numericCloseness(x: Double, y: Double): Double = {
+    val d = math.max(math.abs(x), math.abs(y))
+    if (d == 0.0) 1.0 else math.max(0.0, 1.0 - math.abs(x - y) / d)
+  }
+
   /** Relative numeric closeness, 0 when either side is not a number. */
   def numericSim(a: String, b: String): Double =
-    try {
-      val x = a.toDouble; val y = b.toDouble
-      val d = math.max(math.abs(x), math.abs(y))
-      if (d == 0.0) 1.0 else math.max(0.0, 1.0 - math.abs(x - y) / d)
-    } catch { case _: Exception => 0.0 }
+    (parseNumber(a), parseNumber(b)) match {
+      case (Some(x), Some(y)) => numericCloseness(x, y)
+      case _                  => 0.0
+    }
 }

@@ -5,6 +5,9 @@ import repro.data.{ERDataset, NoiseModel}
 import repro.embedding.EmbeddingDict
 import repro.nn._
 
+import scala.concurrent.{Await, ExecutionContext, Future, Promise}
+import scala.concurrent.duration.Duration
+
 /** The end-to-end DeepER pipeline (Algorithm 3 + the Section 5.1 setup):
   * tuple DRs → similarity vectors → classifier, with the paper's
   * negative-sampling protocol (threshold = minimum cosine of matched
@@ -143,30 +146,59 @@ object DeepER {
     * stratified folds, the training knobs, `fit` on the training fold with
     * seed `cfg.seed + fold`, and a decision threshold selected on the
     * training fold. Returns per-fold PRF on the held-out fold.
+    *
+    * Every fold's `fit` is started before any is awaited, so the caller
+    * decides whether the fits run at once: a `fit` that returns a started
+    * `Future` trains its folds concurrently, one that returns a completed
+    * one (see [[crossValidate]]) trains them one after another on the
+    * calling thread. Thresholds and scores are then computed in fold
+    * order. Each fold's arithmetic depends only on its own inputs and
+    * seed, so the result is the same either way. A failed fit is rethrown
+    * when its fold is reached.
     */
   def crossValidateOn[X](examples: IndexedSeq[X], labels: IndexedSeq[Double], cfg: Config)(
-      fit: (IndexedSeq[X], IndexedSeq[Double], Long) => X => Double): Seq[PRF] = {
+      fit: (IndexedSeq[X], IndexedSeq[Double], Long) => Future[X => Double]): Seq[PRF] = {
     require(examples.length == labels.length)
-    Evaluation.stratifiedFolds(labels, cfg.folds, cfg.seed).zipWithIndex.map { case ((train0, test), f) =>
+    val started = Evaluation.stratifiedFolds(labels, cfg.folds, cfg.seed).zipWithIndex.map { case ((train0, test), f) =>
       val (train, trainLabels) = applyTrainKnobs(train0, labels, cfg)
-      val predict = fit(
+      val predictor = fit(
         train.map(examples).toIndexedSeq,
         train.map(trainLabels).toIndexedSeq,
         cfg.seed + f)
+      (train, test, predictor)
+    }
+    started.map { case (train, test, predictor) =>
+      val predict = Await.result(predictor, Duration.Inf)
       val t = bestThreshold(train.map(i => predict(examples(i))), train.map(labels))
       Evaluation.score(test.map(i => predict(examples(i))), test.map(labels), t)
     }
   }
 
-  /** [[crossValidateOn]] over precomputed feature vectors (DeepER-avg and
-    * the classical baseline, so the protocol is identical).
+  /** Starts `fit` on the global execution context (one thread per core),
+    * for [[crossValidateOn]] callers whose fits build their own model and
+    * share no mutable state. Unlike `Future.apply`, which leaves its future
+    * incomplete when the body throws a fatal error such as
+    * `OutOfMemoryError`, every throwable fails the future (fatal ones boxed
+    * in an `ExecutionException`), so the fold awaiting it fails instead of
+    * waiting forever.
+    */
+  def startFit[P](fit: => P): Future[P] = {
+    val done = Promise[P]()
+    ExecutionContext.global.execute { () =>
+      try done.success(fit) catch { case t: Throwable => done.failure(t) }
+    }
+    done.future
+  }
+
+  /** [[crossValidateOn]] over precomputed feature vectors, with every fit
+    * run on the calling thread, one fold at a time.
     */
   def crossValidate(
       features: IndexedSeq[Array[Double]],
       labels: IndexedSeq[Double],
       cfg: Config,
       fit: (IndexedSeq[Array[Double]], IndexedSeq[Double], Long) => Array[Double] => Double,
-  ): Seq[PRF] = crossValidateOn(features, labels, cfg)(fit)
+  ): Seq[PRF] = crossValidateOn(features, labels, cfg)((xs, ys, s) => Future.successful(fit(xs, ys, s)))
 
   /** Mean-F1 over folds. */
   def meanF1(prfs: Seq[PRF]): Double = prfs.map(_.f1).sum / prfs.size * 100.0
@@ -224,17 +256,21 @@ object DeepER {
     val (toksA, toksB) = collectTokenIndices(ds, index, unkIdx, cfg.maxTokensPerAttr)
     val examples = pairs.map(p => PairExample(toksA(p.a), toksB(p.b), p.label))
 
+    // Each fold builds its own net; a frozen table is only read and a tuned
+    // one is copied per fold, so the folds train at once on the global pool.
     crossValidateOn(examples, pairs.map(_.label), cfg) { (xs, ys, s) =>
-      val emb = if (trainEmbeddings) emb0.copy() else emb0
-      val net = new DeepERNet(emb, unkIdx, ds.attrs.size, comp, cfg.hidden, trainEmbeddings, s)
-      val trainEx = xs.zip(ys).map { case (ex, y) => ex.copy(label = y) }
-      // Embeddings get a much smaller effective step than the dense
-      // layers: Adam normalizes per-parameter step sizes, so the paper's
-      // "update rate 0.01" (raw SGD scale) corresponds to a small
-      // fraction of the Adam learning rate — anything near 1.0 destroys
-      // the pre-trained geometry within an epoch.
-      net.fit(trainEx, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, embLrScale = 0.01, seed = s)
-      net.predictProb _
+      startFit {
+        val emb = if (trainEmbeddings) emb0.copy() else emb0
+        val net = new DeepERNet(emb, unkIdx, ds.attrs.size, comp, cfg.hidden, trainEmbeddings, s)
+        val trainEx = xs.zip(ys).map { case (ex, y) => ex.copy(label = y) }
+        // Embeddings get a much smaller effective step than the dense
+        // layers: Adam normalizes per-parameter step sizes, so the paper's
+        // "update rate 0.01" (raw SGD scale) corresponds to a small
+        // fraction of the Adam learning rate — anything near 1.0 destroys
+        // the pre-trained geometry within an epoch.
+        net.fit(trainEx, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, embLrScale = 0.01, seed = s)
+        net.predictProb _
+      }
     }
   }
 }

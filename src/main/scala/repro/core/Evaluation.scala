@@ -18,13 +18,18 @@ object Evaluation {
   /** Score predicted probabilities against {0,1} labels at `threshold`. */
   def score(probs: Seq[Double], labels: Seq[Double], threshold: Double = 0.5): PRF = {
     require(probs.length == labels.length)
+    // Indexed (a no-op for the Vectors callers pass), so the loop reads
+    // both sides in place instead of zipping them into tuples.
+    val ps = probs.toIndexedSeq; val ys = labels.toIndexedSeq
     var tp = 0L; var fp = 0L; var fn = 0L
-    probs.zip(labels).foreach { case (p, y) =>
-      val pred = p >= threshold
-      val pos = y >= 0.5
+    var i = 0
+    while (i < ps.length) {
+      val pred = ps(i) >= threshold
+      val pos = ys(i) >= 0.5
       if (pred && pos) tp += 1
       else if (pred && !pos) fp += 1
       else if (!pred && pos) fn += 1
+      i += 1
     }
     fromCounts(tp, fp, fn)
   }

@@ -45,13 +45,21 @@ object Experiments {
     Prepared(ds, vecsA, vecsB, pairs, feats, pairs.map(_.label))
   }
 
-  /** DeepER-avg F1 (%) on prepared features with the Figure-5 head. */
-  def deeperF1(p: Prepared, cfg: DeepER.Config): Double =
-    DeepER.meanF1(DeepER.crossValidate(p.cosFeats, p.labels, cfg, (xs, ys, s) => {
-      val mlp = new MLPClassifier(p.ds.attrs.size, cfg.hidden, s)
-      mlp.fit(xs, ys, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, s)
-      mlp.predictProb _
-    }))
+  /** DeepER-avg per-fold PRF on prepared features with the Figure-5 head.
+    * Each fold fits its own head, so the folds train at once on the global
+    * pool.
+    */
+  def deeperFolds(p: Prepared, cfg: DeepER.Config): Seq[PRF] =
+    DeepER.crossValidateOn(p.cosFeats, p.labels, cfg) { (xs, ys, s) =>
+      DeepER.startFit {
+        val mlp = new MLPClassifier(p.ds.attrs.size, cfg.hidden, s)
+        mlp.fit(xs, ys, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, s)
+        mlp.predictProb _
+      }
+    }
+
+  /** DeepER-avg F1 (%): the mean over [[deeperFolds]]. */
+  def deeperF1(p: Prepared, cfg: DeepER.Config): Double = DeepER.meanF1(deeperFolds(p, cfg))
 
   /** Magellan-like baseline F1 (%) on the *same* pairs and folds. */
   def magellanF1(spark: SparkSession, p: Prepared, cfg: DeepER.Config): Double =

@@ -179,6 +179,14 @@ class MagellanLikeSpec extends AnyFunSuite {
     assert(math.abs(f(5) - 0.9) < 1e-9)
   }
 
+  test("numeric feature is numericSim of the raw values") {
+    val values = Seq("100", "90", "-3.5", "0", "0.0", "1e3", "abc", "", null)
+    for (a <- values; b <- values) {
+      val f = MagellanLike.features(MagellanLike.profile(Seq(a)), MagellanLike.profile(Seq(b)))
+      assert(f(5) == StringSim.numericSim(a, b), s"($a, $b)")
+    }
+  }
+
   test("features rejects profiles of different arity") {
     intercept[IllegalArgumentException] {
       MagellanLike.features(MagellanLike.profile(Seq("a")), MagellanLike.profile(Seq("a", "b")))

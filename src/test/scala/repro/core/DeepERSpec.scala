@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.baseline.{MagellanLike, RandomForest}
 import repro.data.ERDatasets
 import repro.embedding.SyntheticGlove
 import repro.exp.Experiments
@@ -19,11 +20,13 @@ class DeepERSpec extends SparkSpec {
     */
   private def avgFolds(cfg: DeepER.Config): Seq[PRF] = {
     val p = Experiments.prepare(spark, ds, dict, cfg.negRatio, cfg.seed)
-    DeepER.crossValidate(p.cosFeats, p.labels, cfg, (xs, ys, s) => {
-      val mlp = new MLPClassifier(ds.attrs.size, cfg.hidden, s)
-      mlp.fit(xs, ys, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, s)
-      mlp.predictProb _
-    })
+    DeepER.crossValidate(p.cosFeats, p.labels, cfg, mlpFit(cfg))
+  }
+
+  private def mlpFit(cfg: DeepER.Config)(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Double], s: Long) = {
+    val mlp = new MLPClassifier(ds.attrs.size, cfg.hidden, s)
+    mlp.fit(xs, ys, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, s)
+    mlp.predictProb _
   }
 
   test("samplePairs yields 1 + negRatio pairs per match") {
@@ -89,6 +92,78 @@ class DeepERSpec extends SparkSpec {
       assert(e.getMessage.contains(s"got $k"), e.getMessage)
       assert(fits == 0)
     }
+  }
+
+  /** 50 one-feature examples, 10 positive, for the CV protocol tests. */
+  private val tinyFeats = IndexedSeq.tabulate(50)(i => Array(i.toDouble))
+  private val tinyLabels = IndexedSeq.tabulate(50)(i => if (i < 10) 1.0 else 0.0)
+
+  for (k <- Seq(2, 5)) {
+    test(s"fold-parallel CV equals sequential CV bit for bit (k = $k)") {
+      val cfg = DeepER.Config(negRatio = 4, folds = k, epochs = 4, seed = 11)
+      val p = Experiments.prepare(spark, ds, dict, cfg.negRatio, cfg.seed)
+      assert(Experiments.deeperFolds(p, cfg) == DeepER.crossValidate(p.cosFeats, p.labels, cfg, mlpFit(cfg)))
+
+      val profA = MagellanLike.collectProfiles(ds, ds.tableA)
+      val profB = MagellanLike.collectProfiles(ds, ds.tableB)
+      val feats = p.pairs.map(q => MagellanLike.features(profA(q.a), profB(q.b)))
+      val forestFit = (xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Double], s: Long) =>
+        RandomForest.fit(xs, ys, nTrees = 5, seed = s).predictProb _
+      assert(MagellanLike.run(spark, ds, p.pairs, cfg, nTrees = 5) == DeepER.crossValidate(feats, p.labels, cfg, forestFit))
+    }
+  }
+
+  test("crossValidate fits on the calling thread, once per fold, with seeds seed + 0 until k") {
+    val cfg = DeepER.Config(folds = 5, seed = 40)
+    val caller = Thread.currentThread
+    val calls = Seq.newBuilder[(Thread, Long)]
+    DeepER.crossValidate(tinyFeats, tinyLabels, cfg, (_, _, s) => { calls += (Thread.currentThread -> s); _ => 0.5 })
+    assert(calls.result() == (0 until 5).map(f => caller -> (40L + f)))
+  }
+
+  test("crossValidateOn starts every fold's fit before awaiting any") {
+    import scala.concurrent.{Await, Future, Promise}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    val k = 5
+    // Every predictor completes only once the last fold's fit has started.
+    val allStarted = Promise[Array[Double] => Double]()
+    var started = 0
+    val run = Future(DeepER.crossValidateOn(tinyFeats, tinyLabels, DeepER.Config(folds = k)) { (_, _, _) =>
+      started += 1
+      if (started == k) allStarted.success(_ => 0.5)
+      allStarted.future
+    })
+    assert(Await.result(run, 30.seconds).size == k)
+  }
+
+  /** Runs 5-fold `crossValidateOn` whose fold-1 fit, started with
+    * `startFit`, throws `error`; a hang fails the caller after 30 s.
+    */
+  private def failFold1(error: String => Throwable): Throwable = {
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    val cfg = DeepER.Config(folds = 5, seed = 50)
+    val run = Future(DeepER.crossValidateOn(tinyFeats, tinyLabels, cfg) { (_, _, s) =>
+      DeepER.startFit[Array[Double] => Double] {
+        if (s == cfg.seed + 1) throw error(s"fold ${s - cfg.seed} diverged")
+        _ => 0.5
+      }
+    })
+    intercept[Throwable](Await.result(run, 30.seconds))
+  }
+
+  test("crossValidateOn rethrows a failed fold's exception instead of hanging") {
+    val e = failFold1(new IllegalStateException(_))
+    assert(e.isInstanceOf[IllegalStateException], e)
+    assert(e.getMessage == "fold 1 diverged", e.getMessage)
+  }
+
+  test("a fatal error in a started fit fails crossValidateOn instead of hanging") {
+    val e = failFold1(new StackOverflowError(_))
+    assert(e.isInstanceOf[java.util.concurrent.ExecutionException], e)
+    assert(e.getCause.isInstanceOf[StackOverflowError] && e.getCause.getMessage == "fold 1 diverged", e.getCause)
   }
 
   test("DeepER-avg achieves high F1 on the easy Rest-FZ dataset") {

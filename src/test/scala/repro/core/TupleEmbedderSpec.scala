@@ -54,6 +54,14 @@ class TupleEmbedderSpec extends SparkSpec {
     assert(out.rdd.getNumPartitions > 1)
   }
 
+  test("withAvgVectors embeds an all-null tuple as UNK vectors") {
+    val out = TupleEmbedder.withAvgVectors(spark, mkDf(Seq((0L, null, null))), Seq("name", "city"), dict)
+    val row = out.select("vecs", "dr").head()
+    val unk = dict.unk.toSeq
+    assert(row.getSeq[Seq[Double]](0) == Seq(unk, unk))
+    assert(row.getSeq[Double](1) == unk ++ unk)
+  }
+
   test("collectAvgVectors returns a vector matrix per tuple id") {
     val df = mkDf(Seq((5L, "gates", null)))
     val m = TupleEmbedder.collectAvgVectors(spark, df, Seq("name", "city"), dict)

@@ -50,6 +50,21 @@ class NetworkSpec extends AnyFunSuite {
     assert(!p.isNaN)
   }
 
+  for (comp <- Seq(AvgComp, BiLstmComp(4), Sent2VecComp); tune <- Seq(false, true)) {
+    test(s"all-null tuples train and score without NaN ($comp, trainEmbeddings = $tune)") {
+      val allNull = Array(Array.empty[Int], Array.empty[Int])
+      val data = toyData(40, 21) ++ IndexedSeq(
+        ex(allNull, allNull, 0.0),
+        ex(allNull, Array(Array(0, 1), Array(2)), 0.0),
+        ex(Array(Array(4, 5), Array(6)), allNull, 0.0))
+      val net = new DeepERNet(embTable(22), unk, 2, comp, trainEmbeddings = tune, seed = 23)
+      val losses = net.fit(data, epochs = 3, seed = 24)
+      assert(losses.forall(l => !l.isNaN && !l.isInfinite), losses)
+      assert(data.map(net.predictProb).forall(p => p >= 0.0 && p <= 1.0)) // false for NaN
+      assert(!net.emb.data.exists(_.isNaN))
+    }
+  }
+
   test("fit reduces training loss (avg)") {
     val net = new DeepERNet(embTable(4), unk, 2, AvgComp, seed = 6)
     val losses = net.fit(toyData(100, 7), epochs = 10, seed = 8)
