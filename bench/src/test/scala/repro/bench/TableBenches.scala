@@ -1,19 +1,17 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{BlockingExperiments, Experiments}
+import repro.exp.ExperimentRegistry
 
 /** Benchmark suites: one per evaluation table/figure of the paper. Each
-  * prints an aligned `measured vs paper` table; EXPERIMENTS.md records the
-  * same numbers with commentary. Run with `sbt "bench/test"`.
+  * runs its [[ExperimentRegistry]] entry, which prints the aligned
+  * `measured vs paper` tables exactly as `repro.jobs.Run` does, and checks
+  * the paper's shape claims on the measured result. EXPERIMENTS.md records
+  * the same numbers with commentary. Run with `sbt "bench/test"`.
   */
 class Table3DataStatsBench extends SparkSpec {
   test("Table 3: dataset statistics (repro scale vs paper)") {
-    val rows = Experiments.table3(spark)
-    println(Experiments.render(
-      "Table 3: data statistics",
-      Seq("dataset", "tuples(repro)", "matches", "attrs", "tuples(paper)", "matches(paper)", "attrs(paper)"),
-      rows))
+    val rows = ExperimentRegistry.table3.report(spark)
     assert(rows.size == 6)
     // Attribute counts must match the paper exactly.
     rows.foreach(r => assert(r(3) == r(6), s"${r.head}: attr count ${r(3)} != paper ${r(6)}"))
@@ -22,11 +20,7 @@ class Table3DataStatsBench extends SparkSpec {
 
 class Table4ComparisonBench extends SparkSpec {
   test("Table 4: DeepER vs Magellan-like baseline (F1 %, 5-fold CV, 1:100 sampling)") {
-    val rows = Experiments.table4(spark)
-    println(Experiments.render(
-      "Table 4: DeepER vs Magellan (measured | paper)",
-      Seq("dataset", "Magellan", "DeepER", "Magellan(paper)", "DeepER(paper)", "published"),
-      rows))
+    val rows = ExperimentRegistry.table4.report(spark)
     val get = rows.map(r => r.head -> (r(1).toDouble, r(2).toDouble)).toMap
     // Shape claims: DeepER ahead on the challenging product datasets,
     // both systems strong on the easy ones, Rest-FZ near-perfect.
@@ -41,11 +35,7 @@ class Table4ComparisonBench extends SparkSpec {
 
 class Table5DictionaryBench extends SparkSpec {
   test("Table 5: impact of embedding dictionary size (GloVe-840B-like vs GloVe-Wiki-like)") {
-    val rows = Experiments.table5(spark)
-    println(Experiments.render(
-      "Table 5: dictionary impact (measured | paper)",
-      Seq("dataset", "GloVe", "GloVe-Wiki", "Wiki+retrofit", "GloVe(paper)", "GloVe-Wiki(paper)"),
-      rows))
+    val rows = ExperimentRegistry.table5.report(spark)
     // Shape: the small dictionary is strictly worse on every dataset but
     // the trivial Rest-FZ, and retrofitting recovers much of the gap.
     rows.filterNot(_.head == "Rest-FZ").foreach { r =>
@@ -60,11 +50,7 @@ class Table5DictionaryBench extends SparkSpec {
 
 class Table6ModelBench extends SparkSpec {
   test("Table 6: impact of embedding model (GloVe / Word2Vec / FastText analogues)") {
-    val rows = Experiments.table6(spark)
-    println(Experiments.render(
-      "Table 6: embedding model impact (measured | paper)",
-      Seq("dataset", "GloVe", "Word2Vec", "FastText", "GloVe(p)", "W2V(p)", "FT(p)"),
-      rows))
+    val rows = ExperimentRegistry.table6.report(spark)
     // Shape: only minor variation between models (paper: within ~2 F1).
     rows.foreach { r =>
       val f1s = Seq(r(1), r(2), r(3)).map(_.toDouble)
@@ -75,11 +61,7 @@ class Table6ModelBench extends SparkSpec {
 
 class Table7MultilingualBench extends SparkSpec {
   test("Table 7: multilingual ER (English vs synthetic-Spanish translation)") {
-    val rows = Experiments.table7(spark)
-    println(Experiments.render(
-      "Table 7: multilingual (measured | paper)",
-      Seq("dataset", "English", "Spanish", "English(paper)", "Spanish(paper)"),
-      rows))
+    val rows = ExperimentRegistry.table7.report(spark)
     rows.foreach { r =>
       val en = r(1).toDouble; val es = r(2).toDouble
       assert(es <= en + 1.0, s"${r.head}: Spanish $es should not beat English $en")
@@ -90,11 +72,7 @@ class Table7MultilingualBench extends SparkSpec {
 
 class TrainingSizeBench extends SparkSpec {
   test("Figure 6: F1 vs training fraction {10,30,50}%") {
-    val rows = Experiments.trainingSize(spark)
-    println(Experiments.render(
-      "Figure 6: training size (measured | paper)",
-      Seq("dataset", "10%", "30%", "50%", "10%(p)", "30%(p)", "50%(p)"),
-      rows))
+    val rows = ExperimentRegistry.fig6.report(spark)
     // Shape: more data never hurts much; 10% already competitive.
     rows.foreach { r =>
       assert(r(3).toDouble >= r(1).toDouble - 5.0, s"${r.head}: 50% ${r(3)} far below 10% ${r(1)}")
@@ -104,11 +82,7 @@ class TrainingSizeBench extends SparkSpec {
 
 class LabelNoiseBench extends SparkSpec {
   test("Figure 7: impact of incorrect labels {0,10,30}%") {
-    val rows = Experiments.labelNoise(spark)
-    println(Experiments.render(
-      "Figure 7: label noise (measured | paper)",
-      Seq("dataset", "clean", "10%", "30%", "clean(p)", "10%(p)", "30%(p)"),
-      rows))
+    val rows = ExperimentRegistry.fig7.report(spark)
     rows.foreach { r =>
       assert(r(3).toDouble >= r(1).toDouble - 30.0, s"${r.head}: catastrophic noise collapse")
       assert(r(2).toDouble >= r(3).toDouble - 10.0, s"${r.head}: 10% noise should sit near/above 30%")
@@ -118,11 +92,7 @@ class LabelNoiseBench extends SparkSpec {
 
 class VectorUpdateBench extends SparkSpec {
   test("Figure 8: static vs fine-tuned word embeddings (end-to-end network)") {
-    val rows = Experiments.vectorUpdate(spark)
-    println(Experiments.render(
-      "Figure 8: embedding updates (measured | paper)",
-      Seq("dataset", "NoUpdate", "Update", "NoUpdate(p)", "Update(p)"),
-      rows))
+    val rows = ExperimentRegistry.fig8.report(spark)
     // Shape: fine-tuning is near-neutral. (The paper's small positive
     // gains on challenging data cannot reproduce here: the synthetic
     // pre-trained embeddings already encode the ground-truth concepts,
@@ -137,11 +107,7 @@ class VectorUpdateBench extends SparkSpec {
 
 class CompositionBench extends SparkSpec {
   test("Figure 9: composition method (Average vs Bi-LSTM vs Sentence2Vec-like)") {
-    val rows = Experiments.composition(spark)
-    println(Experiments.render(
-      "Figure 9: composition (measured | paper)",
-      Seq("dataset", "Average", "Bi-LSTM", "Sent2Vec", "Avg(p)", "BiLSTM(p)", "S2V(p)"),
-      rows))
+    val rows = ExperimentRegistry.fig9.report(spark)
     assert(rows.nonEmpty)
     rows.foreach(r => assert(r(1).toDouble > 40.0, s"${r.head}: averaging collapsed"))
   }
@@ -149,11 +115,7 @@ class CompositionBench extends SparkSpec {
 
 class NucleotideBench extends SparkSpec {
   test("Section 5.2: nucleotide duplicate detection with data-learned embeddings") {
-    val rows = Experiments.nucleotide(spark)
-    println(Experiments.render(
-      "Nucleotide benchmark (measured | paper state of the art)",
-      Seq("dataset", "DeepER", "hand-crafted ML", "DeepER(paper)", "SOTA(paper)"),
-      rows))
+    val rows = ExperimentRegistry.nucleotide.report(spark)
     val r = rows.head
     assert(r(1).toDouble > 70.0, s"DeepER nucleotide F1 ${r(1)} too low")
     // Shape: data-learned embeddings beat (or at least match) the
@@ -165,15 +127,7 @@ class NucleotideBench extends SparkSpec {
 
 class BlockingSweepBench extends SparkSpec {
   test("Figure 10: PC and RR vs K (L=10) and vs L (K=4)") {
-    val (rowsK, rowsL) = BlockingExperiments.blockingSweepRows(spark)
-    println(Experiments.render(
-      "Figure 10 a-b: vary K at L=10 (measured | paper)",
-      Seq("K", "PC AG", "PC DS", "PC AG(p)", "PC DS(p)", "RR AG", "RR DS", "RR AG(p)", "RR DS(p)"),
-      rowsK))
-    println(Experiments.render(
-      "Figure 10 c-d: vary L at K=4 (measured | paper)",
-      Seq("L", "PC AG", "PC DS", "PC AG(p)", "PC DS(p)", "RR AG", "RR DS", "RR AG(p)", "RR DS(p)"),
-      rowsL))
+    val (rowsK, rowsL) = ExperimentRegistry.fig10.report(spark)
     // Shape: PC decreases in K, increases in L; RR decreases in K,
     // increases in L (paper Figure 10).
     def col(rows: Seq[Seq[String]], i: Int) = rows.map(_(i).toDouble)
@@ -188,17 +142,7 @@ class BlockingSweepBench extends SparkSpec {
 
 class EndToEndBlockingBench extends SparkSpec {
   test("Figure 11: end-to-end precision/recall of blocking + classifier") {
-    val p = BlockingExperiments.prepareBlocks(spark, repro.data.ERDatasets.prodAG(spark))
-    val kRows = BlockingExperiments.endToEnd(spark, p, Seq(1, 4, 10).map(k => (k, 10)))
-    val lRows = BlockingExperiments.endToEnd(spark, p, Seq(1, 4, 10).map(l => (4, l)))
-    def render(rows: Seq[(Int, Int, Double, Double)], label: String) =
-      Experiments.render(
-        s"Figure 11 ($label) Prod-AG",
-        Seq("K", "L", "precision", "recall"),
-        rows.map { case (k, l, pr, re) =>
-          Seq(k.toString, l.toString, Experiments.fmtPct(pr), Experiments.fmtPct(re)) })
-    println(render(kRows, "vary K at L=10"))
-    println(render(lRows, "vary L at K=4"))
+    val (kRows, lRows) = ExperimentRegistry.fig11.report(spark)
     // Shape: recall falls as K grows; recall rises as L grows; the
     // deployment-calibrated classifier keeps usable precision throughout.
     assert(kRows.head._4 >= kRows.last._4, "recall must fall with K")
@@ -209,14 +153,7 @@ class EndToEndBlockingBench extends SparkSpec {
 
 class MultiProbeBench extends SparkSpec {
   test("Figure 12: multi-probe LSH recall at L=1, K=10") {
-    val p = BlockingExperiments.prepareBlocks(spark, repro.data.ERDatasets.prodAG(spark))
-    val rows = BlockingExperiments.multiProbe(spark, p)
-    println(Experiments.render(
-      "Figure 12: multi-probe recall on Prod-AG (measured | paper)",
-      Seq("MP", "top-N", "recall", "recall(paper)"),
-      rows.map { case (mp, n, r) =>
-        Seq(mp.toString, n.toString, Experiments.fmtPct(r),
-          Experiments.fmtPct(BlockingExperiments.fig12Paper((mp, n)))) }))
+    val rows = ExperimentRegistry.fig12.report(spark)
     // Shape: more probes → higher recall at every top-N.
     val byN = rows.groupBy(_._2)
     byN.values.foreach { g =>

@@ -26,23 +26,25 @@ object BlockingExperiments {
     BlockPrep(ds, a, b, ds.attrs.size * Dicts.dim)
   }
 
-  /** Figure 10 a/b: PC and RR vs K at fixed L. */
-  def sweepK(spark: SparkSession, p: BlockPrep, ks: Seq[Int], l: Int = 10): Seq[(Int, Double, Double)] =
-    ks.map { k =>
+  /** Figure 10: PC and RR of K×L blocking, one (PC, RR) per (K, L) config. */
+  def sweep(spark: SparkSession, p: BlockPrep, configs: Seq[(Int, Int)]): Seq[(Double, Double)] =
+    configs.map { case (k, l) =>
       val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
       val cands = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq())
-      val (pc, rr) = RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, p.ds.nA, p.ds.nB)
-      (k, pc, rr)
+      RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, p.ds.nA, p.ds.nB)
     }
 
-  /** Figure 10 c/d: PC and RR vs L at fixed K. */
-  def sweepL(spark: SparkSession, p: BlockPrep, ls: Seq[Int], k: Int = 4): Seq[(Int, Double, Double)] =
-    ls.map { l =>
-      val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
-      val cands = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq())
-      val (pc, rr) = RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, p.ds.nA, p.ds.nB)
-      (l, pc, rr)
-    }
+  /** Figures 10 and 11 plot two series: K varies at L=10, and L varies at
+    * K=4. `measure` runs once over their distinct (K, L) configs, so the
+    * point both series share is measured once; its results come back per
+    * series, in the order of `ks` and `ls`.
+    */
+  def kAndLSeries[T](ks: Seq[Int], ls: Seq[Int])(measure: Seq[(Int, Int)] => Seq[T]): (Seq[T], Seq[T]) = {
+    val (kConfigs, lConfigs) = (ks.map((_, 10)), ls.map((4, _)))
+    val configs = (kConfigs ++ lConfigs).distinct
+    val byConfig = configs.zip(measure(configs)).toMap
+    (kConfigs.map(byConfig), lConfigs.map(byConfig))
+  }
 
   /** Train the DeepER classifier once on the paper's sampled pairs, then
     * apply it *distributed* to every blocked candidate pair (Algorithm 4
@@ -150,25 +152,23 @@ object BlockingExperiments {
     (1, 10) -> 0.33, (1, 20) -> 0.36, (1, 50) -> 0.41, (1, 100) -> 0.44,
     (2, 10) -> 0.42, (2, 20) -> 0.469, (2, 50) -> 0.53, (2, 100) -> 0.58)
 
+  /** Figure 10's two tables: PC and RR on Prod-AG and Pub-DS as K varies
+    * at L=10 (a-b) and as L varies at K=4 (c-d), next to the paper's.
+    */
   def blockingSweepRows(spark: SparkSession): (Seq[Seq[String]], Seq[Seq[String]]) = {
-    val ag = prepareBlocks(spark, ERDatasets.prodAG(spark))
-    val dsb = prepareBlocks(spark, ERDatasets.pubDS(spark))
-    val ks = Seq(1, 2, 4, 6, 8, 10)
-    val (agK, dsK) = (sweepK(spark, ag, ks), sweepK(spark, dsb, ks))
-    val rowsK = ks.indices.map { i =>
-      val k = ks(i)
-      Seq(k.toString,
-        fmtPct(agK(i)._2), fmtPct(dsK(i)._2), fmtPct(fig10aPaper(k)._1), fmtPct(fig10aPaper(k)._2),
-        fmtPct(agK(i)._3), fmtPct(dsK(i)._3), fmtPct(fig10bPaper(k)._1), fmtPct(fig10bPaper(k)._2))
+    val xs = Seq(1, 2, 4, 6, 8, 10) // the values of K, and of L
+    def series(ds: ERDataset) = {
+      val p = prepareBlocks(spark, ds)
+      kAndLSeries(xs, xs)(sweep(spark, p, _))
     }
-    val ls = Seq(1, 2, 4, 6, 8, 10)
-    val (agL, dsL) = (sweepL(spark, ag, ls), sweepL(spark, dsb, ls))
-    val rowsL = ls.indices.map { i =>
-      val l = ls(i)
-      Seq(l.toString,
-        fmtPct(agL(i)._2), fmtPct(dsL(i)._2), fmtPct(fig10cPaper(l)._1), fmtPct(fig10cPaper(l)._2),
-        fmtPct(agL(i)._3), fmtPct(dsL(i)._3), fmtPct(fig10dPaper(l)._1), fmtPct(fig10dPaper(l)._2))
-    }
-    (rowsK, rowsL)
+    val (agK, agL) = series(ERDatasets.prodAG(spark))
+    val (dsK, dsL) = series(ERDatasets.pubDS(spark))
+    def rows(ag: Seq[(Double, Double)], ds: Seq[(Double, Double)],
+             pcPaper: Map[Int, (Double, Double)], rrPaper: Map[Int, (Double, Double)]) =
+      xs.lazyZip(ag).lazyZip(ds).map { case (x, (agPc, agRr), (dsPc, dsRr)) =>
+        Seq(x.toString, fmtPct(agPc), fmtPct(dsPc), fmtPct(pcPaper(x)._1), fmtPct(pcPaper(x)._2),
+          fmtPct(agRr), fmtPct(dsRr), fmtPct(rrPaper(x)._1), fmtPct(rrPaper(x)._2))
+      }
+    (rows(agK, dsK, fig10aPaper, fig10bPaper), rows(agL, dsL, fig10cPaper, fig10dPaper))
   }
 }

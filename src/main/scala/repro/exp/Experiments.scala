@@ -7,10 +7,10 @@ import repro.data._
 import repro.embedding.EmbeddingDict
 import repro.nn._
 
-/** Harnesses reproducing the evaluation tables of Section 5 (shared by the
-  * bench suites and the spark-submit jobs). Each returns printable rows;
-  * paper numbers are recorded alongside in EXPERIMENTS.md and in the
-  * bench output.
+/** Harnesses reproducing the evaluation tables of Section 5. Each returns
+  * printable rows, measured next to the paper's numbers (EXPERIMENTS.md
+  * records them with commentary). [[ExperimentRegistry]] names each table
+  * and gives it its title and header, for the benches and `repro.jobs.Run`.
   */
 object Experiments {
 
@@ -65,6 +65,9 @@ object Experiments {
   def magellanF1(spark: SparkSession, p: Prepared, cfg: DeepER.Config): Double =
     DeepER.meanF1(MagellanLike.run(spark, p.ds, p.pairs, cfg))
 
+  /** The training config of Tables 5–7, Figures 6–7 and the nucleotide run. */
+  private val ablationCfg = DeepER.Config(negRatio = 4, folds = 3, epochs = 15)
+
   // ------------------------------------------------------------------
   // Table 3: dataset statistics
   // ------------------------------------------------------------------
@@ -88,8 +91,9 @@ object Experiments {
     "Rest-FZ" -> ((100.0, 100.0, "96.5 (Crowd)")),
   )
 
-  def table4(spark: SparkSession, cfg: DeepER.Config = DeepER.Config(negRatio = 100, folds = 5)): Seq[Seq[String]] =
+  def table4(spark: SparkSession): Seq[Seq[String]] =
     ERDatasets.all(spark).map { ds =>
+      val cfg = DeepER.Config(negRatio = 100, folds = 5)
       val p = prepare(spark, ds, Dicts.gloveLike(ds.forms), cfg.negRatio, cfg.seed)
       val dF1 = deeperF1(p, cfg)
       val mF1 = magellanF1(spark, p, cfg)
@@ -112,8 +116,9 @@ object Experiments {
     * the small dictionary, showing how much of the gap it recovers (on
     * synthetic data: nearly all of it, see EXPERIMENTS.md).
     */
-  def table5(spark: SparkSession, cfg: DeepER.Config = DeepER.Config(negRatio = 4, folds = 3, epochs = 15)): Seq[Seq[String]] =
+  def table5(spark: SparkSession): Seq[Seq[String]] =
     ERDatasets.all(spark).map { ds =>
+      val cfg = ablationCfg
       val big = Dicts.gloveLike(ds.forms).copy(sharedUnk = true)
       val small = Dicts.gloveWikiLike(ds.forms).copy(sharedUnk = true)
       val smallRf = Dicts.retrofitted(spark, small, ds)
@@ -132,8 +137,9 @@ object Experiments {
     "Pub-DC" -> ((99.10, 99.00, 99.00)), "Prod-WA" -> ((88.06, 86.10, 88.89)),
     "Prod-AG" -> ((96.03, 95.10, 95.70)), "Rest-FZ" -> ((100.0, 100.0, 100.0)))
 
-  def table6(spark: SparkSession, cfg: DeepER.Config = DeepER.Config(negRatio = 4, folds = 3, epochs = 15)): Seq[Seq[String]] =
+  def table6(spark: SparkSession): Seq[Seq[String]] =
     ERDatasets.all(spark).map { ds =>
+      val cfg = ablationCfg
       val f1s = Seq(Dicts.gloveLike(ds.forms), Dicts.word2vecLike(ds.forms), Dicts.fastTextLike(ds.forms))
         .map(d => deeperF1(prepare(spark, ds, d.copy(sharedUnk = true), cfg.negRatio, cfg.seed), cfg))
       val (pg, pw, pf) = table6Paper(ds.name)
@@ -151,7 +157,8 @@ object Experiments {
     * corpus), and the translation itself is variant-inconsistent — the
     * pipeline runs unchanged, at a mildly lower F1, as in the paper.
     */
-  def table7(spark: SparkSession, cfg: DeepER.Config = DeepER.Config(negRatio = 4, folds = 3, epochs = 15)): Seq[Seq[String]] = {
+  def table7(spark: SparkSession): Seq[Seq[String]] = {
+    val cfg = ablationCfg
     val base = Seq(ERDatasets.prodAG(spark), ERDatasets.restFZ(spark), ERDatasets.pubDS(spark))
     base.map { ds =>
       val en = deeperF1(prepare(spark, ds,
@@ -172,8 +179,9 @@ object Experiments {
     "Pub-DC" -> ((99.61, 99.75, 99.80)), "Prod-AG" -> ((91.44, 93.63, 94.74)),
     "Prod-WA" -> ((89.06, 92.57, 93.77)), "Rest-FZ" -> ((100.0, 100.0, 100.0)))
 
-  def trainingSize(spark: SparkSession, cfg: DeepER.Config = DeepER.Config(negRatio = 4, folds = 3, epochs = 15)): Seq[Seq[String]] =
+  def trainingSize(spark: SparkSession): Seq[Seq[String]] =
     ERDatasets.all(spark).map { ds =>
+      val cfg = ablationCfg
       val p = prepare(spark, ds, Dicts.gloveLike(ds.forms), cfg.negRatio, cfg.seed)
       val f1s = Seq(0.1, 0.3, 0.5).map(f => deeperF1(p, cfg.copy(trainFraction = f)))
       val (a, b, c) = fig6Paper(ds.name)
@@ -188,8 +196,9 @@ object Experiments {
     "Pub-DC" -> ((99.61, 99.31, 98.43)), "Prod-AG" -> ((91.44, 84.73, 80.00)),
     "Prod-WA" -> ((89.06, 84.29, 71.74)), "Rest-FZ" -> ((100.0, 100.0, 100.0)))
 
-  def labelNoise(spark: SparkSession, cfg: DeepER.Config = DeepER.Config(negRatio = 4, folds = 3, epochs = 15)): Seq[Seq[String]] =
+  def labelNoise(spark: SparkSession): Seq[Seq[String]] =
     ERDatasets.all(spark).map { ds =>
+      val cfg = ablationCfg
       val p = prepare(spark, ds, Dicts.gloveLike(ds.forms), cfg.negRatio, cfg.seed)
       val f1s = Seq(0.0, 0.1, 0.3).map(n =>
         deeperF1(p, cfg.copy(labelNoise = n, trainFraction = 0.5)))
@@ -208,8 +217,9 @@ object Experiments {
     * the perfect synthetic GloVe there is nothing for fine-tuning to
     * learn and the comparison degenerates.
     */
-  def vectorUpdate(spark: SparkSession, cfg: DeepER.Config = DeepER.Config(negRatio = 4, folds = 2, epochs = 12)): Seq[Seq[String]] =
+  def vectorUpdate(spark: SparkSession): Seq[Seq[String]] =
     ERDatasets.all(spark).map { ds =>
+      val cfg = DeepER.Config(negRatio = 4, folds = 2, epochs = 12)
       val dict = Dicts.impreciseLike(ds.forms)
       val frozen = DeepER.meanF1(DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = false, cfg))
       val tuned = DeepER.meanF1(DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = true, cfg))
@@ -225,13 +235,10 @@ object Experiments {
     "Pub-DC" -> ((96.82, 99.60, 91.33)), "Prod-AG" -> ((77.53, 91.44, 80.54)),
     "Prod-WA" -> ((86.30, 89.06, 83.20)), "Rest-FZ" -> ((100.0, 100.0, 100.0)))
 
-  def composition(
-      spark: SparkSession,
-      names: Seq[String] = Seq("Pub-DA", "Prod-AG", "Rest-FZ"),
-      cfg: DeepER.Config = DeepER.Config(negRatio = 2, folds = 2, epochs = 16, maxTokensPerAttr = 12),
-  ): Seq[Seq[String]] = {
-    val all = ERDatasets.all(spark).filter(d => names.contains(d.name))
-    all.map { ds =>
+  def composition(spark: SparkSession): Seq[Seq[String]] = {
+    val names = Seq("Pub-DA", "Prod-AG", "Rest-FZ")
+    val cfg = DeepER.Config(negRatio = 2, folds = 2, epochs = 16, maxTokensPerAttr = 12)
+    ERDatasets.all(spark).filter(d => names.contains(d.name)).map { ds =>
       val dict = Dicts.gloveLike(ds.forms)
       val avg = DeepER.meanF1(DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = false, cfg))
       val bi = DeepER.meanF1(DeepER.runNet(spark, ds, dict, BiLstmComp(24), trainEmbeddings = false, cfg))
@@ -244,9 +251,10 @@ object Experiments {
   // ------------------------------------------------------------------
   // Section 5.2: nucleotide domain (embeddings learned from the data)
   // ------------------------------------------------------------------
-  def nucleotide(spark: SparkSession, cfg: DeepER.Config = DeepER.Config(negRatio = 4, folds = 3, epochs = 15)): Seq[Seq[String]] = {
+  def nucleotide(spark: SparkSession): Seq[Seq[String]] = {
     import org.apache.spark.sql.functions._
     import repro.embedding.GloveTrainer
+    val cfg = ablationCfg
     val ds = Nucleotide.generate(spark)
     // Learn k-mer + metadata embeddings from the dataset itself (§3.3 opt 1).
     val tok = udf((s: String) => Tokenizer.tokenize(s))

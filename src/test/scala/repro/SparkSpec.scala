@@ -4,13 +4,12 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every test: one SparkSession, from [[SparkSessions]], for the
+  * whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM, or half of MemTotal clamped to 2–8 GB when it is
-  * unset. Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * unset.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -20,13 +19,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+    val s = SparkSessions.getOrCreate("repro")
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

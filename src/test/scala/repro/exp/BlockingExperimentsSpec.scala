@@ -41,4 +41,15 @@ class BlockingExperimentsSpec extends SparkSpec {
     assert(rows.forall { case (_, _, prec, rec) => prec > 0.0 && rec > 0.0 }, rows)
     p.drA.unpersist(); p.drB.unpersist()
   }
+
+  test("kAndLSeries measures the distinct configs of both series in one call") {
+    var calls = Seq.empty[Seq[(Int, Int)]]
+    val (kSeries, lSeries) = BlockingExperiments.kAndLSeries(Seq(1, 4, 10), Seq(1, 4, 10)) { configs =>
+      calls :+= configs
+      configs.map { case (k, l) => s"$k,$l" }
+    }
+    assert(calls == Seq(Seq((1, 10), (4, 10), (10, 10), (4, 1), (4, 4))))
+    assert(kSeries == Seq("1,10", "4,10", "10,10"))
+    assert(lSeries == Seq("4,1", "4,4", "4,10"))
+  }
 }
