@@ -88,7 +88,7 @@ object MagellanLike {
     val feats = pairs.map(p => features(profA(p.a), profB(p.b)))
     val labels = pairs.map(_.label)
     // Each fold grows its own forest from its own RNG, so the folds train
-    // at once on the global pool.
+    // at once, each on its own thread.
     DeepER.crossValidateOn(feats, labels, cfg) { (xs, ys, s) =>
       DeepER.startFit {
         val forest = RandomForest.fit(xs, ys, nTrees = nTrees, seed = s)

@@ -5,7 +5,7 @@ import repro.data.{ERDataset, NoiseModel}
 import repro.embedding.EmbeddingDict
 import repro.nn._
 
-import scala.concurrent.{Await, ExecutionContext, Future, Promise}
+import scala.concurrent.{Await, Future, Promise}
 import scala.concurrent.duration.Duration
 
 /** The end-to-end DeepER pipeline (Algorithm 3 + the Section 5.1 setup):
@@ -174,19 +174,22 @@ object DeepER {
     }
   }
 
-  /** Starts `fit` on the global execution context (one thread per core),
-    * for [[crossValidateOn]] callers whose fits build their own model and
-    * share no mutable state. Unlike `Future.apply`, which leaves its future
-    * incomplete when the body throws a fatal error such as
-    * `OutOfMemoryError`, every throwable fails the future (fatal ones boxed
-    * in an `ExecutionException`), so the fold awaiting it fails instead of
+  /** Starts `fit` on a daemon thread of its own, for [[crossValidateOn]]
+    * callers whose fits build their own model and share no mutable state.
+    * A thread per fit, not a slot in a pool of one thread per core: k folds
+    * on c < k cores then time-share and finish together in about k/c fit
+    * times, where a pool would run them in rounds and leave the last one
+    * mostly idle. Unlike `Future.apply`, which leaves its future incomplete
+    * when the body throws a fatal error such as `OutOfMemoryError`, every
+    * throwable fails the future (fatal ones boxed in an
+    * `ExecutionException`), so the fold awaiting it fails instead of
     * waiting forever.
     */
   def startFit[P](fit: => P): Future[P] = {
     val done = Promise[P]()
-    ExecutionContext.global.execute { () =>
-      try done.success(fit) catch { case t: Throwable => done.failure(t) }
-    }
+    val t = new Thread(() => try done.success(fit) catch { case e: Throwable => done.failure(e) }, "deeper-fit")
+    t.setDaemon(true)
+    t.start()
     done.future
   }
 
@@ -257,7 +260,7 @@ object DeepER {
     val examples = pairs.map(p => PairExample(toksA(p.a), toksB(p.b), p.label))
 
     // Each fold builds its own net; a frozen table is only read and a tuned
-    // one is copied per fold, so the folds train at once on the global pool.
+    // one is copied per fold, so the folds train at once, a thread each.
     crossValidateOn(examples, pairs.map(_.label), cfg) { (xs, ys, s) =>
       startFit {
         val emb = if (trainEmbeddings) emb0.copy() else emb0

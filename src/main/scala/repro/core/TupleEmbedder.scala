@@ -28,7 +28,7 @@ object TupleEmbedder {
   def withAvgVectors(spark: SparkSession, df: DataFrame, attrs: Seq[String], dict: EmbeddingDict): DataFrame = {
     val bDict = spark.sparkContext.broadcast(dict)
     val embed = udf { (vals: Seq[String]) =>
-      vals.map(v => avgAttr(v, bDict.value).toSeq)
+      vals.iterator.map(v => avgAttr(v, bDict.value)).toArray
     }
     df.withColumn("vecs", embed(array(attrs.map(a => col(a).cast("string")): _*)))
       .withColumn("dr", flatten(col("vecs")))
@@ -43,11 +43,11 @@ object TupleEmbedder {
     collectVecs(withAvgVectors(spark, df, attrs, dict))
 
   /** The `id` and `vecs` columns of a [[withAvgVectors]] result as a
-    * driver-side map.
+    * driver-side map. The rows are decoded straight into primitive arrays,
+    * not through `Row`s of boxed `Seq[Double]`.
     */
-  def collectVecs(df: DataFrame): Map[Long, Array[Array[Double]]] =
-    df.select("id", "vecs")
-      .collect()
-      .map(r => r.getLong(0) -> r.getSeq[scala.collection.Seq[Double]](1).map(_.toArray).toArray)
-      .toMap
+  def collectVecs(df: DataFrame): Map[Long, Array[Array[Double]]] = {
+    import df.sparkSession.implicits._
+    df.select("id", "vecs").as[(Long, Array[Array[Double]])].collect().toMap
+  }
 }

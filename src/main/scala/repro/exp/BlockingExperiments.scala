@@ -65,9 +65,8 @@ object BlockingExperiments {
     val gold = matches.toSet
     val (mlp, threshold) = blockedClassifier(spark, p, matches, cfg, maxTrainNeg)
     val bMlp = spark.sparkContext.broadcast(mlp)
-    val score = udf { (va: Seq[Seq[Double]], vb: Seq[Seq[Double]]) =>
-      val sim = Similarity.cosineVector(va.map(_.toArray).toArray, vb.map(_.toArray).toArray)
-      bMlp.value.predictProb(sim)
+    val score = udf { (va: Array[Array[Double]], vb: Array[Array[Double]]) =>
+      bMlp.value.predictProb(Similarity.cosineVector(va, vb))
     }
     configs.map { case (k, l) =>
       val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
@@ -99,14 +98,13 @@ object BlockingExperiments {
       cfg: DeepER.Config,
       maxTrainNeg: Int,
   ): (MLPClassifier, Double) = {
+    import spark.implicits._
     val vecsA = TupleEmbedder.collectVecs(p.drA)
     val vecsB = TupleEmbedder.collectVecs(p.drB)
     val gold = matches.toSet
     val trainCands = RandomHyperplaneLSH.candidatePairs(
       spark, p.drA, p.drB, RandomHyperplaneLSH.model(p.dim, 4, 10, seed = 31))
-    val negPairs = trainCands.collect()
-      .map(r => (r.getLong(0), r.getLong(1)))
-      .filterNot(gold)
+    val negPairs = trainCands.as[(Long, Long)].collect().filterNot(gold)
     val rng = new scala.util.Random(cfg.seed)
     val negSample = rng.shuffle(negPairs.toIndexedSeq).take(maxTrainNeg)
     val feats = (matches.map(m => (m, 1.0)) ++ negSample.map(n => (n, 0.0))).map {

@@ -46,8 +46,8 @@ object Experiments {
   }
 
   /** DeepER-avg per-fold PRF on prepared features with the Figure-5 head.
-    * Each fold fits its own head, so the folds train at once on the global
-    * pool.
+    * Each fold fits its own head, so the folds train at once, each on its
+    * own thread ([[DeepER.startFit]]).
     */
   def deeperFolds(p: Prepared, cfg: DeepER.Config): Seq[PRF] =
     DeepER.crossValidateOn(p.cosFeats, p.labels, cfg) { (xs, ys, s) =>

@@ -41,11 +41,10 @@ object MultiProbeLSH {
       topN: Int,
   ): DataFrame = {
     val bm = spark.sparkContext.broadcast(m)
-    val probeSig = udf { (dr: Seq[Double]) =>
-      val v = dr.toArray
+    val probeSig = udf { (dr: Array[Double]) =>
       for {
         l <- 0 until bm.value.L
-        c <- probeCodes(bm.value.signature(v, l), bm.value.K, mp)
+        c <- probeCodes(bm.value.signature(dr, l), bm.value.K, mp)
       } yield (l, c)
     }
     val sa = drA.select(col("id").as("idA"), col("dr").as("drA"),
@@ -53,9 +52,7 @@ object MultiProbeLSH {
       .select(col("idA"), col("drA"), col("tc._1").as("table"), col("tc._2").as("code"))
     val sb = RandomHyperplaneLSH.bucketRows(spark, drB, m, "B", Seq("dr")).drop("codesB")
 
-    val cos = udf { (a: Seq[Double], b: Seq[Double]) =>
-      repro.nn.Linalg.cosine(a.toArray, b.toArray)
-    }
+    val cos = udf((a: Array[Double], b: Array[Double]) => repro.nn.Linalg.cosine(a, b))
     val joined = sa.join(sb, Seq("table", "code"))
       .select(col("idA"), col("idB"), cos(col("drA"), col("drB")).as("sim"))
       .groupBy("idA", "idB").agg(max("sim").as("sim"))

@@ -45,9 +45,8 @@ object RandomHyperplaneLSH {
     */
   def signatures(spark: SparkSession, df: DataFrame, m: LSHModel): DataFrame = {
     val bm = spark.sparkContext.broadcast(m)
-    val sig = udf { (dr: Seq[Double]) =>
-      val v = dr.toArray
-      (0 until bm.value.L).map(l => (l, bm.value.signature(v, l)))
+    val sig = udf { (dr: Array[Double]) =>
+      (0 until bm.value.L).map(l => (l, bm.value.signature(dr, l)))
     }
     df.select(col("id"), explode(sig(col("dr"))).as("tc"))
       .select(col("id"), col("tc._1").as("table"), col("tc._2").as("code"))
@@ -75,7 +74,7 @@ object RandomHyperplaneLSH {
     */
   def candidatesWith(spark: SparkSession, drA: DataFrame, drB: DataFrame, m: LSHModel,
       carry: Seq[String]): DataFrame = {
-    val firstCollision = udf { (ca: Seq[Int], cb: Seq[Int]) =>
+    val firstCollision = udf { (ca: Array[Int], cb: Array[Int]) =>
       var l = 0
       while (l < ca.length && ca(l) != cb(l)) l += 1
       l
@@ -93,9 +92,8 @@ object RandomHyperplaneLSH {
   private[lsh] def bucketRows(spark: SparkSession, df: DataFrame, m: LSHModel, s: String,
       carry: Seq[String]): DataFrame = {
     val bm = spark.sparkContext.broadcast(m)
-    val codes = udf { (dr: Seq[Double]) =>
-      val v = dr.toArray
-      Array.tabulate(bm.value.L)(l => bm.value.signature(v, l))
+    val codes = udf { (dr: Array[Double]) =>
+      Array.tabulate(bm.value.L)(l => bm.value.signature(dr, l))
     }
     val kept = (col("id").as(s"id$s") +: carry.map(c => col(c).as(c + s))) :+
       codes(col("dr")).as(s"codes$s")

@@ -222,29 +222,33 @@ final class DeepERNet(
   * [[DeepERNet]] uses the same head on the vectors it computes.
   *
   * Training allocates its buffers once per `fit`, nothing per example or
-  * per batch. Every sum runs in the order of a layer-by-layer dense
-  * formulation (dot product from 0.0, then the bias). `predictProb` only
-  * reads the weights and allocates nothing, so one instance may score from
-  * many threads at once (the broadcast scoring UDF does).
+  * per batch. W1 is stored input-major, `w1(c * hidden + r)`, so the loops
+  * of a training step run over hidden units at unit stride. Every sum still
+  * runs in the order of a layer-by-layer dense formulation: a hidden unit's
+  * pre-activation starts at 0.0, adds the inputs in column order, then its
+  * bias. `predictProb` only reads the weights and allocates nothing, so one
+  * instance may score from many threads at once (the broadcast scoring UDF
+  * does).
   */
 final class MLPClassifier(val inDim: Int, val hidden: Int = 50, seed: Long = 42) extends Serializable {
-  private val w1: Array[Double] = Mat.glorot(hidden, inDim, seed).data // row-major hidden x inDim
+  // Glorot draws in hidden-major order, transposed to w1(c * hidden + r).
+  private val w1: Array[Double] = {
+    val m = Mat.glorot(hidden, inDim, seed)
+    Array.tabulate(inDim * hidden)(i => m(i % hidden, i / hidden))
+  }
   private val b1: Array[Double] = new Array[Double](hidden)
   private val w2: Array[Double] = Mat.glorot(1, hidden, seed + 1).data
   private val b2: Array[Double] = new Array[Double](1)
 
-  /** Pre-activation of hidden unit `r`: (W1 x)(r) + b1(r). */
-  private def preact(x: Array[Double], r: Int): Double = {
-    val off = r * inDim
-    var s = 0.0; var c = 0
-    while (c < inDim) { s += w1(off + c) * x(c); c += 1 }
-    s + b1(r)
-  }
-
   def predictProb(x: Array[Double]): Double = {
     require(x.length == inDim, s"predictProb: expected $inDim features, got ${x.length}")
     var z = 0.0; var r = 0
-    while (r < hidden) { z += w2(r) * Linalg.tanh(preact(x, r)); r += 1 }
+    while (r < hidden) {
+      var s = 0.0; var c = 0
+      while (c < inDim) { s += w1(c * hidden + r) * x(c); c += 1 }
+      z += w2(r) * Linalg.tanh(s + b1(r))
+      r += 1
+    }
     Linalg.sigmoid(z + b2(0))
   }
 
@@ -262,23 +266,40 @@ final class MLPClassifier(val inDim: Int, val hidden: Int = 50, seed: Long = 42)
     */
   private[nn] def accumulate(x: Array[Double], y: Double, g: MLPClassifier.Grads, dx: Array[Double]): Double = {
     val h = g.h
+    val dzr = g.dzr
     // Forward: h = tanh(W1 x + b1), p = sigmoid(w2 . h + b2).
+    java.util.Arrays.fill(h, 0.0)
+    var c = 0
+    while (c < inDim) {
+      val xc = x(c); val off = c * hidden; var r = 0
+      while (r < hidden) { h(r) += w1(off + r) * xc; r += 1 }
+      c += 1
+    }
     var z = 0.0; var r = 0
-    while (r < hidden) { h(r) = Linalg.tanh(preact(x, r)); z += w2(r) * h(r); r += 1 }
+    while (r < hidden) { h(r) = Linalg.tanh(h(r) + b1(r)); z += w2(r) * h(r); r += 1 }
     val p = Linalg.sigmoid(z + b2(0))
     // Backward: d(BCE∘sigmoid)/dz = p - y; tanh' = 1 - h².
     val dz = p - y
     g.b2(0) += dz
-    if (dx != null) java.util.Arrays.fill(dx, 0.0)
     r = 0
     while (r < hidden) {
       g.w2(r) += dz * h(r)
-      val dzr = w2(r) * dz * (1.0 - h(r) * h(r))
-      g.b1(r) += dzr
-      val off = r * inDim; var c = 0
-      while (c < inDim) { g.w1(off + c) += dzr * x(c); c += 1 }
-      if (dx != null) { c = 0; while (c < inDim) { dx(c) += w1(off + c) * dzr; c += 1 } }
+      dzr(r) = w2(r) * dz * (1.0 - h(r) * h(r))
+      g.b1(r) += dzr(r)
       r += 1
+    }
+    c = 0
+    while (c < inDim) {
+      val xc = x(c); val off = c * hidden
+      r = 0
+      while (r < hidden) { g.w1(off + r) += dzr(r) * xc; r += 1 }
+      if (dx != null) {
+        var s = 0.0
+        r = 0
+        while (r < hidden) { s += w1(off + r) * dzr(r); r += 1 }
+        dx(c) = s
+      }
+      c += 1
     }
     -(y * math.log(math.max(p, 1e-12)) + (1 - y) * math.log(math.max(1 - p, 1e-12)))
   }
@@ -306,15 +327,16 @@ final class MLPClassifier(val inDim: Int, val hidden: Int = 50, seed: Long = 42)
 }
 
 object MLPClassifier {
-  /** Gradient buffers of one training run, and the hidden activations of
-    * the example in flight.
+  /** Gradient buffers of one training run, and the hidden activations and
+    * pre-activation gradients of the example in flight.
     */
   private[nn] final class Grads(inDim: Int, hidden: Int) {
-    val w1 = new Array[Double](hidden * inDim)
+    val w1 = new Array[Double](inDim * hidden) // input-major, as MLPClassifier's w1
     val b1 = new Array[Double](hidden)
     val w2 = new Array[Double](hidden)
     val b2 = new Array[Double](1)
     val h = new Array[Double](hidden)
+    val dzr = new Array[Double](hidden) // dL/d(pre-activation) of each hidden unit
   }
 
   /** The mini-batch loop of Section 5.1 that both Figure-5 models train

@@ -137,6 +137,21 @@ class DeepERSpec extends SparkSpec {
     assert(Await.result(run, 30.seconds).size == k)
   }
 
+  test("startFit runs more fits at once than there are cores") {
+    import java.util.concurrent.CountDownLatch
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    // Each fit waits until all have started: on a pool of one thread per
+    // core the last one never starts and the call never returns.
+    val n = Runtime.getRuntime.availableProcessors + 1
+    val allStarted = new CountDownLatch(n)
+    val fits = (0 until n).map { i =>
+      DeepER.startFit { allStarted.countDown(); allStarted.await(); i }
+    }
+    assert(Await.result(Future.sequence(fits), 30.seconds) == (0 until n))
+  }
+
   /** Runs 5-fold `crossValidateOn` whose fold-1 fit, started with
     * `startFit`, throws `error`; a hang fails the caller after 30 s.
     */

@@ -69,6 +69,22 @@ class TupleEmbedderSpec extends SparkSpec {
     assert(m(5L)(1).forall(_ == 0.0))
   }
 
+  test("collectVecs decodes the same doubles as the Row -> Seq -> Array conversion (Rest-FZ + an all-null tuple)") {
+    val ds = repro.data.ERDatasets.restFZ(spark)
+    val allNull = Row.fromSeq(Long.MaxValue +: ds.attrs.map(_ => null))
+    val df = ds.tableA.union(spark.createDataFrame(java.util.List.of(allNull), ds.tableA.schema))
+    val withVecs = TupleEmbedder.withAvgVectors(spark, df, ds.attrs, repro.exp.Dicts.gloveLike(ds.forms))
+    val viaRows = withVecs.select("id", "vecs").collect()
+      .map(r => r.getLong(0) -> r.getSeq[scala.collection.Seq[Double]](1).map(_.toArray).toArray)
+      .toMap
+    def bits(m: Map[Long, Array[Array[Double]]]) =
+      m.map { case (id, vs) => id -> vs.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq }
+    val typed = TupleEmbedder.collectVecs(withVecs)
+    assert(typed.size == ds.nA + 1)
+    assert(bits(typed) == bits(viaRows))
+    assert(typed(Long.MaxValue).forall(_.forall(_ == 0.0)))
+  }
+
   test("matched tuples have higher DR cosine than unmatched (semantic property)") {
     val dictBig = repro.embedding.SyntheticGlove.build(
       Seq(

@@ -42,6 +42,16 @@ class BlockingExperimentsSpec extends SparkSpec {
     p.drA.unpersist(); p.drB.unpersist()
   }
 
+  test("endToEnd's Rest-FZ (4,10) precision and recall are pinned (blocked-negative sample order)") {
+    // 2,000 of Rest-FZ's 32,383 blocked negatives are sampled after a
+    // seeded shuffle of their collect order, so any change to that order
+    // changes the sample and, with it, the precision recorded here.
+    val p = BlockingExperiments.prepareBlocks(spark, ERDatasets.restFZ(spark))
+    val rows = BlockingExperiments.endToEnd(spark, p, Seq((4, 10)), DeepER.Config(folds = 1, epochs = 3), maxTrainNeg = 2000)
+    assert(rows == Seq((4, 10, 0.9322033898305084, 1.0)))
+    p.drA.unpersist(); p.drB.unpersist()
+  }
+
   test("kAndLSeries measures the distinct configs of both series in one call") {
     var calls = Seq.empty[Seq[(Int, Int)]]
     val (kSeries, lSeries) = BlockingExperiments.kAndLSeries(Seq(1, 4, 10), Seq(1, 4, 10)) { configs =>

@@ -18,7 +18,7 @@ class MLPClassifierSpec extends AnyFunSuite {
 
   for {
     inDim <- Seq(1, 4, 17)
-    hidden <- Seq(1, 50)
+    hidden <- Seq(1, 7, 50, 53) // 7 and 53 leave tails after the vector loops' full lanes
     batchSize <- Seq(16, 10) // n = 48: 16 divides it, 10 leaves a batch of 8
     l2 <- Seq(0.0, 1e-3)
   } test(s"fit and predictProb equal the Dense reference (inDim=$inDim hidden=$hidden batch=$batchSize l2=$l2)") {
