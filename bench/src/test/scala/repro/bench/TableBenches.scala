@@ -1,26 +1,45 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.ExperimentRegistry
+import repro.exp.{Experiment, ExperimentRegistry}
 
 /** Benchmark suites: one per evaluation table/figure of the paper. Each
-  * runs its [[ExperimentRegistry]] entry, which prints the aligned
-  * `measured vs paper` tables exactly as `repro.jobs.Run` does, and checks
-  * the paper's shape claims on the measured result. EXPERIMENTS.md records
-  * the same numbers with commentary. Run with `sbt "bench/test"`.
+  * runs its [[ExperimentRegistry]] entry, prints the aligned
+  * `measured vs paper` tables exactly as `repro.jobs.Run` does, asserts
+  * that text equals the recorded `bench/golden/<name>.txt` (README.md in
+  * `bench/` says how to re-record one), and checks the paper's shape
+  * claims on the measured result. EXPERIMENTS.md records the same numbers
+  * with commentary. Run with `sbt "bench/test"`.
   */
-class Table3DataStatsBench extends SparkSpec {
+trait GoldenBench extends SparkSpec {
+
+  /** Measure `e`, print its text, assert it equals the golden file, and
+    * return the measurement.
+    */
+  def report[R](e: Experiment[R]): R = {
+    val r = e.measure(spark)
+    val text = e.text(r)
+    print(text)
+    val golden = Option(getClass.getResourceAsStream(s"/${e.name}.txt"))
+      .map(in => try new String(in.readAllBytes(), "UTF-8") finally in.close())
+      .getOrElse(fail(s"no bench/golden/${e.name}.txt"))
+    assert(text == golden, s"${e.name}: the printed text differs from bench/golden/${e.name}.txt")
+    r
+  }
+}
+
+class Table3DataStatsBench extends GoldenBench {
   test("Table 3: dataset statistics (repro scale vs paper)") {
-    val rows = ExperimentRegistry.table3.report(spark)
+    val rows = report(ExperimentRegistry.table3)
     assert(rows.size == 6)
     // Attribute counts must match the paper exactly.
     rows.foreach(r => assert(r(3) == r(6), s"${r.head}: attr count ${r(3)} != paper ${r(6)}"))
   }
 }
 
-class Table4ComparisonBench extends SparkSpec {
+class Table4ComparisonBench extends GoldenBench {
   test("Table 4: DeepER vs Magellan-like baseline (F1 %, 5-fold CV, 1:100 sampling)") {
-    val rows = ExperimentRegistry.table4.report(spark)
+    val rows = report(ExperimentRegistry.table4)
     val get = rows.map(r => r.head -> (r(1).toDouble, r(2).toDouble)).toMap
     // Shape claims: DeepER ahead on the challenging product datasets,
     // both systems strong on the easy ones, Rest-FZ near-perfect.
@@ -33,9 +52,9 @@ class Table4ComparisonBench extends SparkSpec {
   }
 }
 
-class Table5DictionaryBench extends SparkSpec {
+class Table5DictionaryBench extends GoldenBench {
   test("Table 5: impact of embedding dictionary size (GloVe-840B-like vs GloVe-Wiki-like)") {
-    val rows = ExperimentRegistry.table5.report(spark)
+    val rows = report(ExperimentRegistry.table5)
     // Shape: the small dictionary is strictly worse on every dataset but
     // the trivial Rest-FZ, and retrofitting recovers much of the gap.
     rows.filterNot(_.head == "Rest-FZ").foreach { r =>
@@ -48,9 +67,9 @@ class Table5DictionaryBench extends SparkSpec {
   }
 }
 
-class Table6ModelBench extends SparkSpec {
+class Table6ModelBench extends GoldenBench {
   test("Table 6: impact of embedding model (GloVe / Word2Vec / FastText analogues)") {
-    val rows = ExperimentRegistry.table6.report(spark)
+    val rows = report(ExperimentRegistry.table6)
     // Shape: only minor variation between models (paper: within ~2 F1).
     rows.foreach { r =>
       val f1s = Seq(r(1), r(2), r(3)).map(_.toDouble)
@@ -59,9 +78,9 @@ class Table6ModelBench extends SparkSpec {
   }
 }
 
-class Table7MultilingualBench extends SparkSpec {
+class Table7MultilingualBench extends GoldenBench {
   test("Table 7: multilingual ER (English vs synthetic-Spanish translation)") {
-    val rows = ExperimentRegistry.table7.report(spark)
+    val rows = report(ExperimentRegistry.table7)
     rows.foreach { r =>
       val en = r(1).toDouble; val es = r(2).toDouble
       assert(es <= en + 1.0, s"${r.head}: Spanish $es should not beat English $en")
@@ -70,9 +89,9 @@ class Table7MultilingualBench extends SparkSpec {
   }
 }
 
-class TrainingSizeBench extends SparkSpec {
+class TrainingSizeBench extends GoldenBench {
   test("Figure 6: F1 vs training fraction {10,30,50}%") {
-    val rows = ExperimentRegistry.fig6.report(spark)
+    val rows = report(ExperimentRegistry.fig6)
     // Shape: more data never hurts much; 10% already competitive.
     rows.foreach { r =>
       assert(r(3).toDouble >= r(1).toDouble - 5.0, s"${r.head}: 50% ${r(3)} far below 10% ${r(1)}")
@@ -80,9 +99,9 @@ class TrainingSizeBench extends SparkSpec {
   }
 }
 
-class LabelNoiseBench extends SparkSpec {
+class LabelNoiseBench extends GoldenBench {
   test("Figure 7: impact of incorrect labels {0,10,30}%") {
-    val rows = ExperimentRegistry.fig7.report(spark)
+    val rows = report(ExperimentRegistry.fig7)
     rows.foreach { r =>
       assert(r(3).toDouble >= r(1).toDouble - 30.0, s"${r.head}: catastrophic noise collapse")
       assert(r(2).toDouble >= r(3).toDouble - 10.0, s"${r.head}: 10% noise should sit near/above 30%")
@@ -90,9 +109,9 @@ class LabelNoiseBench extends SparkSpec {
   }
 }
 
-class VectorUpdateBench extends SparkSpec {
+class VectorUpdateBench extends GoldenBench {
   test("Figure 8: static vs fine-tuned word embeddings (end-to-end network)") {
-    val rows = ExperimentRegistry.fig8.report(spark)
+    val rows = report(ExperimentRegistry.fig8)
     // Shape: fine-tuning is near-neutral. (The paper's small positive
     // gains on challenging data cannot reproduce here: the synthetic
     // pre-trained embeddings already encode the ground-truth concepts,
@@ -105,17 +124,17 @@ class VectorUpdateBench extends SparkSpec {
   }
 }
 
-class CompositionBench extends SparkSpec {
+class CompositionBench extends GoldenBench {
   test("Figure 9: composition method (Average vs Bi-LSTM vs Sentence2Vec-like)") {
-    val rows = ExperimentRegistry.fig9.report(spark)
+    val rows = report(ExperimentRegistry.fig9)
     assert(rows.nonEmpty)
     rows.foreach(r => assert(r(1).toDouble > 40.0, s"${r.head}: averaging collapsed"))
   }
 }
 
-class NucleotideBench extends SparkSpec {
+class NucleotideBench extends GoldenBench {
   test("Section 5.2: nucleotide duplicate detection with data-learned embeddings") {
-    val rows = ExperimentRegistry.nucleotide.report(spark)
+    val rows = report(ExperimentRegistry.nucleotide)
     val r = rows.head
     assert(r(1).toDouble > 70.0, s"DeepER nucleotide F1 ${r(1)} too low")
     // Shape: data-learned embeddings beat (or at least match) the
@@ -125,9 +144,9 @@ class NucleotideBench extends SparkSpec {
   }
 }
 
-class BlockingSweepBench extends SparkSpec {
+class BlockingSweepBench extends GoldenBench {
   test("Figure 10: PC and RR vs K (L=10) and vs L (K=4)") {
-    val (rowsK, rowsL) = ExperimentRegistry.fig10.report(spark)
+    val (rowsK, rowsL) = report(ExperimentRegistry.fig10)
     // Shape: PC decreases in K, increases in L; RR decreases in K,
     // increases in L (paper Figure 10).
     def col(rows: Seq[Seq[String]], i: Int) = rows.map(_(i).toDouble)
@@ -140,9 +159,9 @@ class BlockingSweepBench extends SparkSpec {
   }
 }
 
-class EndToEndBlockingBench extends SparkSpec {
+class EndToEndBlockingBench extends GoldenBench {
   test("Figure 11: end-to-end precision/recall of blocking + classifier") {
-    val (kRows, lRows) = ExperimentRegistry.fig11.report(spark)
+    val (kRows, lRows) = report(ExperimentRegistry.fig11)
     // Shape: recall falls as K grows; recall rises as L grows; the
     // deployment-calibrated classifier keeps usable precision throughout.
     assert(kRows.head._4 >= kRows.last._4, "recall must fall with K")
@@ -151,9 +170,9 @@ class EndToEndBlockingBench extends SparkSpec {
   }
 }
 
-class MultiProbeBench extends SparkSpec {
+class MultiProbeBench extends GoldenBench {
   test("Figure 12: multi-probe LSH recall at L=1, K=10") {
-    val rows = ExperimentRegistry.fig12.report(spark)
+    val rows = report(ExperimentRegistry.fig12)
     // Shape: more probes → higher recall at every top-N.
     val byN = rows.groupBy(_._2)
     byN.values.foreach { g =>

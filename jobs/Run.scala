@@ -26,9 +26,9 @@ object Run {
     case Left(message) =>
       Console.err.println(message)
       sys.exit(2)
-    case Right(e) =>
+    case Right(e: Experiment[r]) =>
       val spark = SparkSessions.getOrCreate(e.name)
-      try e.report(spark)
+      try print(e.text(e.measure(spark)))
       finally spark.stop()
   }
 }

@@ -13,23 +13,6 @@ object StringSim {
   private def bothEmpty(a: String, b: String) = (a == null || a.isEmpty) && (b == null || b.isEmpty)
   private def oneEmpty(a: String, b: String) = (a == null || a.isEmpty) != (b == null || b.isEmpty)
 
-  /** Levenshtein edit distance (full DP matrix, strings here are short). */
-  def levenshtein(a: String, b: String): Int = {
-    if (a == null || b == null) return math.max(if (a == null) 0 else a.length, if (b == null) 0 else b.length)
-    val dp = Array.tabulate(a.length + 1)(i => Array.tabulate(b.length + 1)(j => if (i == 0) j else if (j == 0) i else 0))
-    for (i <- 1 to a.length; j <- 1 to b.length) {
-      val cost = if (a(i - 1) == b(j - 1)) 0 else 1
-      dp(i)(j) = math.min(math.min(dp(i - 1)(j) + 1, dp(i)(j - 1) + 1), dp(i - 1)(j - 1) + cost)
-    }
-    dp(a.length)(b.length)
-  }
-
-  /** Normalized Levenshtein similarity. */
-  def levenshteinSim(a: String, b: String): Double =
-    if (bothEmpty(a, b)) 1.0
-    else if (oneEmpty(a, b)) 0.0
-    else 1.0 - levenshtein(a, b).toDouble / math.max(a.length, b.length)
-
   /** Jaro similarity. */
   def jaro(a: String, b: String): Double = {
     if (bothEmpty(a, b)) return 1.0
@@ -114,11 +97,4 @@ object StringSim {
     val d = math.max(math.abs(x), math.abs(y))
     if (d == 0.0) 1.0 else math.max(0.0, 1.0 - math.abs(x - y) / d)
   }
-
-  /** Relative numeric closeness, 0 when either side is not a number. */
-  def numericSim(a: String, b: String): Double =
-    (parseNumber(a), parseNumber(b)) match {
-      case (Some(x), Some(y)) => numericCloseness(x, y)
-      case _                  => 0.0
-    }
 }

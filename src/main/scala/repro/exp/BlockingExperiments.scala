@@ -26,13 +26,17 @@ object BlockingExperiments {
     BlockPrep(ds, a, b, ds.attrs.size * Dicts.dim)
   }
 
-  /** Figure 10: PC and RR of K×L blocking, one (PC, RR) per (K, L) config. */
-  def sweep(spark: SparkSession, p: BlockPrep, configs: Seq[(Int, Int)]): Seq[(Double, Double)] =
+  /** Figure 10: PC and RR of K×L blocking, one (PC, RR) per (K, L) config.
+    * The table sizes are counted once; each config is then one Spark action.
+    */
+  def sweep(spark: SparkSession, p: BlockPrep, configs: Seq[(Int, Int)]): Seq[(Double, Double)] = {
+    val (nA, nB) = (p.ds.nA, p.ds.nB)
     configs.map { case (k, l) =>
       val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
-      val cands = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq())
-      RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, p.ds.nA, p.ds.nB)
+      val cands = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq(), mp = 0)
+      RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, nA, nB)
     }
+  }
 
   /** Figures 10 and 11 plot two series: K varies at L=10, and L varies at
     * K=4. `measure` runs once over their distinct (K, L) configs, so the
@@ -70,7 +74,7 @@ object BlockingExperiments {
     }
     configs.map { case (k, l) =>
       val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
-      val predicted = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq("vecs"))
+      val predicted = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq("vecs"), mp = 0)
         .where(score(col("vecsA"), col("vecsB")) >= threshold)
         .select("idA", "idB")
         .collect()

@@ -10,16 +10,13 @@ final case class Table(title: String, header: Seq[String], rows: Seq[Seq[String]
 
 /** One Section-5 table or figure. `measure` runs its harness and `tables`
   * decides how the result prints. The bench suites check the shape of the
-  * measured result; `repro.jobs.Run` prints it.
+  * measured result and its text against `bench/golden/<name>.txt`;
+  * `repro.jobs.Run` prints the text.
   */
 final case class Experiment[R](name: String, measure: SparkSession => R, tables: R => Seq[Table]) {
 
-  /** Measure, print each table to stdout, and return the measurement. */
-  def report(spark: SparkSession): R = {
-    val r = measure(spark)
-    tables(r).foreach(t => println(t.render))
-    r
-  }
+  /** The printed text of a measurement: each table's block and a newline. */
+  def text(r: R): String = tables(r).map(_.render + "\n").mkString
 }
 
 /** Every reproduced table and figure, each defined once with its name,

@@ -8,14 +8,18 @@ import org.apache.spark.sql.functions._
   * hash tables, each query tuple also probes the buckets whose codes are
   * within Hamming distance `mp` of its own, then keeps only its top-N
   * most-similar candidates — fewer tables, fewer classifier invocations.
+  * The probing itself is `RandomHyperplaneLSH.candidatesWith` at `mp`.
   */
 object MultiProbeLSH {
+
+  private[lsh] def requireMp(mp: Int): Unit =
+    require(mp >= 0 && mp <= 2, s"probe sequences are implemented for mp in 0..2, got mp = $mp")
 
   /** All codes within Hamming distance ≤ mp of `code` (including itself).
     * For mp ≤ 2 and K ≤ 30 this is 1 + K + K(K-1)/2 codes.
     */
   def probeCodes(code: Int, k: Int, mp: Int): Seq[Int] = {
-    require(mp >= 0 && mp <= 2, s"probe sequences are implemented for mp in 0..2, got mp = $mp")
+    requireMp(mp)
     val d0 = Seq(code)
     val d1 = if (mp >= 1) (0 until k).map(i => code ^ (1 << i)) else Nil
     val d2 =
@@ -25,10 +29,8 @@ object MultiProbeLSH {
     d0 ++ d1 ++ d2
   }
 
-  /** Candidate pairs where each A-tuple probes `mp`-perturbed buckets of
-    * every hash table and keeps its top-N candidates by cosine similarity
-    * of the DRs (computed distributed; both sides carry their DRs through
-    * the bucket join).
+  /** The multi-probe candidates of each A tuple, ranked by the cosine
+    * similarity of the DRs (ties by `idB`), keeping the top N per A tuple.
     *
     * @return DataFrame(idA, idB, sim)
     */
@@ -40,33 +42,18 @@ object MultiProbeLSH {
       mp: Int,
       topN: Int,
   ): DataFrame = {
-    val bm = spark.sparkContext.broadcast(m)
-    val probeSig = udf { (dr: Array[Double]) =>
-      for {
-        l <- 0 until bm.value.L
-        c <- probeCodes(bm.value.signature(dr, l), bm.value.K, mp)
-      } yield (l, c)
-    }
-    val sa = drA.select(col("id").as("idA"), col("dr").as("drA"),
-      explode(probeSig(col("dr"))).as("tc"))
-      .select(col("idA"), col("drA"), col("tc._1").as("table"), col("tc._2").as("code"))
-    val sb = RandomHyperplaneLSH.bucketRows(spark, drB, m, "B", Seq("dr")).drop("codesB")
-
     val cos = udf((a: Array[Double], b: Array[Double]) => repro.nn.Linalg.cosine(a, b))
-    val joined = sa.join(sb, Seq("table", "code"))
-      .select(col("idA"), col("idB"), cos(col("drA"), col("drB")).as("sim"))
-      .groupBy("idA", "idB").agg(max("sim").as("sim"))
     val w = Window.partitionBy("idA").orderBy(col("sim").desc, col("idB"))
-    joined.withColumn("rank", row_number().over(w))
+    RandomHyperplaneLSH.candidatesWith(spark, drA, drB, m, Seq("dr"), mp)
+      .select(col("idA"), col("idB"), cos(col("drA"), col("drB")).as("sim"))
+      .withColumn("rank", row_number().over(w))
       .where(col("rank") <= topN)
       .drop("rank")
   }
 
-  /** Recall of the gold matches among the retained candidates. */
-  def recall(candidates: DataFrame, matches: DataFrame): Double = {
-    val hit = candidates.join(matches,
-      candidates("idA") === matches("idA") && candidates("idB") === matches("idB")).count()
-    val nGold = matches.count()
-    if (nGold == 0) 1.0 else hit.toDouble / nGold
-  }
+  /** Recall of the gold matches among the retained candidates (1.0 when
+    * there are none): the pair completeness of `blockingMetrics`.
+    */
+  def recall(candidates: DataFrame, matches: DataFrame): Double =
+    RandomHyperplaneLSH.completeness(candidates, matches)._1
 }

@@ -37,12 +37,6 @@ object Linalg {
     Array.tabulate(a.length)(i => a(i) - b(i))
   }
 
-  /** Element-wise (Hadamard) product, new array. */
-  def hadamard(a: Array[Double], b: Array[Double]): Array[Double] = {
-    require(a.length == b.length)
-    Array.tabulate(a.length)(i => a(i) * b(i))
-  }
-
   /** a * s, new array. */
   def scale(a: Array[Double], s: Double): Array[Double] =
     Array.tabulate(a.length)(i => a(i) * s)
@@ -141,12 +135,6 @@ object Mat {
     val rng = new scala.util.Random(seed)
     val lim = math.sqrt(6.0 / (rows + cols))
     new Mat(rows, cols, Array.fill(rows * cols)((rng.nextDouble() * 2 - 1) * lim))
-  }
-
-  /** Gaussian init with given std, deterministic in `seed`. */
-  def gaussian(rows: Int, cols: Int, std: Double, seed: Long): Mat = {
-    val rng = new scala.util.Random(seed)
-    new Mat(rows, cols, Array.fill(rows * cols)(rng.nextGaussian() * std))
   }
 }
 

@@ -12,15 +12,6 @@ import repro.nn.Linalg
 object StringSimProps extends Properties("StringSim") {
   private val word: Gen[String] = Gen.chooseNum(0, 12).flatMap(n => Gen.stringOfN(n, Gen.alphaLowerChar))
 
-  property("levenshteinSim bounded in [0,1]") = forAll(word, word) { (a, b) =>
-    val s = StringSim.levenshteinSim(a, b); s >= 0.0 && s <= 1.0
-  }
-  property("levenshtein is symmetric") = forAll(word, word) { (a, b) =>
-    StringSim.levenshtein(a, b) == StringSim.levenshtein(b, a)
-  }
-  property("levenshtein triangle inequality") = forAll(word, word, word) { (a, b, c) =>
-    StringSim.levenshtein(a, c) <= StringSim.levenshtein(a, b) + StringSim.levenshtein(b, c)
-  }
   property("jaro bounded in [0,1]") = forAll(word, word) { (a, b) =>
     val s = StringSim.jaro(a, b); s >= 0.0 && s <= 1.0
   }

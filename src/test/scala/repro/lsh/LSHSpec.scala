@@ -105,9 +105,10 @@ class LSHSpec extends SparkSpec {
   test("candidatesWith equals the DuckDB DISTINCT bucket join, without duplicates (K in {1,4}, L in {1,3})") {
     val a = drDf(randVecs(30, 6, 9))
     val b = drDf(randVecs(40, 6, 10))
-    for (k <- Seq(1, 4); l <- Seq(1, 3)) {
+    // mp > 0 probes every code within Hamming distance mp (multi-probe).
+    for (k <- Seq(1, 4); l <- Seq(1, 3); mp <- 0 to 2) {
       val m = RandomHyperplaneLSH.model(6, k, l, seed = 8)
-      val cands = RandomHyperplaneLSH.candidatesWith(spark, a, b, m, Seq())
+      val cands = RandomHyperplaneLSH.candidatesWith(spark, a, b, m, Seq(), mp)
       val sa = RandomHyperplaneLSH.signatures(spark, a, m)
         .withColumnRenamed("id", "idA").withColumnRenamed("table", "tbl")
       val sb = RandomHyperplaneLSH.signatures(spark, b, m)
@@ -115,16 +116,24 @@ class LSHSpec extends SparkSpec {
       // The oracle compares rows with multiplicity, so a duplicate pair fails it.
       Oracle.assertEquivalent(
         cands,
-        "SELECT DISTINCT sa.idA AS idA, sb.idB AS idB FROM sa JOIN sb ON sa.tbl = sb.tbl AND sa.code = sb.code",
+        "SELECT DISTINCT sa.idA AS idA, sb.idB AS idB FROM sa JOIN sb ON sa.tbl = sb.tbl " +
+          s"AND bit_count(xor(CAST(sa.code AS INTEGER), CAST(sb.code AS INTEGER))) <= $mp",
         "sa" -> sa, "sb" -> sb)
     }
+  }
+
+  test("candidatesWith rejects mp = 3 on the driver, naming the value") {
+    val m = RandomHyperplaneLSH.model(6, 4, 1, seed = 8)
+    val e = intercept[IllegalArgumentException](
+      RandomHyperplaneLSH.candidatesWith(spark, drDf(Nil), drDf(Nil), m, Seq(), mp = 3))
+    assert(e.getMessage.contains("got mp = 3"), e.getMessage)
   }
 
   test("candidatesWith carries each tuple's own column values") {
     val va = randVecs(25, 5, 30); val vb = randVecs(35, 5, 31)
     def tagged(vs: Seq[(Long, Array[Double])]) = drDf(vs).withColumn("tag", col("id") * 10 + 3)
     val m = RandomHyperplaneLSH.model(5, 2, 3, seed = 32)
-    val rows = RandomHyperplaneLSH.candidatesWith(spark, tagged(va), tagged(vb), m, Seq("dr", "tag")).collect()
+    val rows = RandomHyperplaneLSH.candidatesWith(spark, tagged(va), tagged(vb), m, Seq("dr", "tag"), mp = 0).collect()
     assert(rows.nonEmpty)
     val (drA, drB) = (va.toMap, vb.toMap)
     rows.foreach { r =>
@@ -139,7 +148,7 @@ class LSHSpec extends SparkSpec {
 
   test("candidatesWith of an empty B side has no rows") {
     val m = RandomHyperplaneLSH.model(6, 1, 3, seed = 33)
-    val cands = RandomHyperplaneLSH.candidatesWith(spark, drDf(randVecs(20, 6, 34)), drDf(Nil), m, Seq("dr"))
+    val cands = RandomHyperplaneLSH.candidatesWith(spark, drDf(randVecs(20, 6, 34)), drDf(Nil), m, Seq("dr"), mp = 0)
     assert(cands.count() == 0)
   }
 
@@ -162,6 +171,28 @@ class LSHSpec extends SparkSpec {
     val (pc, rr) = RandomHyperplaneLSH.blockingMetrics(cands, gold, nA = 10, nB = 10)
     assert(pc == 0.5) // 1 of 2 gold pairs survives
     assert(rr == 0.02) // 2 of 100 pairs compared
+  }
+
+  test("completeness gives PC and |candidates| as DuckDB does; blockingMetrics and recall read it") {
+    val rng = new scala.util.Random(35)
+    def pairs(n: Int) = Seq.fill(n)((rng.nextInt(12).toLong, rng.nextInt(15).toLong)).distinct
+    def pairDf(ps: Seq[(Long, Long)]) = spark.createDataFrame(
+      spark.sparkContext.parallelize(ps.map { case (a, b) => Row(a, b) }, 3),
+      StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false))))
+    val (cands, gold) = (pairs(90), pairs(40))
+    val (c, g) = (pairDf(cands), pairDf(gold))
+    val (pc, nCand) = RandomHyperplaneLSH.completeness(c, g)
+    Oracle.assertEquivalent(
+      spark.createDataFrame(Seq((pc, nCand))).toDF("pc", "candidates"),
+      "SELECT CAST((SELECT count(*) FROM c JOIN g ON c.idA = g.idA AND c.idB = g.idB) AS DOUBLE) / " +
+        "(SELECT count(*) FROM g) AS pc, (SELECT count(*) FROM c) AS candidates",
+      "c" -> c, "g" -> g)
+    val hits = cands.count(gold.toSet)
+    assert(hits > 0 && hits < gold.size, hits)
+    assert((pc, nCand) == (hits.toDouble / gold.size, cands.size.toLong))
+    assert(RandomHyperplaneLSH.blockingMetrics(c, g, nA = 12, nB = 15) ==
+      (hits.toDouble / gold.size, cands.size.toDouble / (12.0 * 15.0)))
+    assert(MultiProbeLSH.recall(c, g) == hits.toDouble / gold.size)
   }
 
   test("increasing K reduces RR (Figure 10-b trend)") {
@@ -255,6 +286,25 @@ class MultiProbeLSHSpec extends SparkSpec {
       MultiProbeLSH.topNCandidates(spark, a, b, m, mp, topN = 20), gold)
     val r0 = recallAt(0); val r2 = recallAt(2)
     assert(r2 > r0, s"mp0=$r0 mp2=$r2")
+  }
+
+  test("topNCandidates ranks the candidatesWith pairs as DuckDB's row_number by (sim desc, idB)") {
+    // Each B vector appears under three ids, so every A tuple sees ties in
+    // sim that only the idB tie-break orders.
+    val base = randVecs(15, 8, 36)
+    val b = drDf(base.flatMap { case (i, v) => Seq((30 + i, v), (i, v), (15 + i, v)) })
+    val a = drDf(randVecs(20, 8, 37))
+    val cos = udf((x: Seq[Double], y: Seq[Double]) => Linalg.cosine(x.toArray, y.toArray))
+    for (mp <- Seq(0, 2)) {
+      val m = RandomHyperplaneLSH.model(8, 4, 2, seed = 38)
+      val cs = RandomHyperplaneLSH.candidatesWith(spark, a, b, m, Seq("dr"), mp)
+        .select(col("idA"), col("idB"), cos(col("drA"), col("drB")).as("sim"))
+      Oracle.assertEquivalent(
+        MultiProbeLSH.topNCandidates(spark, a, b, m, mp, topN = 4),
+        "SELECT idA, idB, CAST(sim AS DOUBLE) AS sim FROM (SELECT idA, idB, sim, row_number() OVER (PARTITION BY idA " +
+          "ORDER BY CAST(sim AS DOUBLE) DESC, CAST(idB AS BIGINT)) AS rk FROM cs) WHERE rk <= 4",
+        "cs" -> cs)
+    }
   }
 
   test("recall of empty candidate set is 0 and of empty gold is 1") {

@@ -9,7 +9,7 @@ class NetworkSpec extends AnyFunSuite {
     */
   private val V = 9
   private val dim = 6
-  private def embTable(seed: Long) = Mat.gaussian(V, dim, 0.5, seed)
+  private def embTable(seed: Long) = NetworkSpec.gaussian(V, dim, 0.5, seed)
   private val unk = V - 1
 
   private def ex(aToks: Array[Array[Int]], bToks: Array[Array[Int]], y: Double) =
@@ -176,5 +176,14 @@ class NetworkSpec extends AnyFunSuite {
     val a = Array(Array(0, 1), Array(2))
     val b = Array(Array(3, 4), Array(5))
     assert(math.abs(net.predictProb(ex(a, b, 0)) - net.predictProb(ex(b, a, 0))) < 1e-12)
+  }
+}
+
+object NetworkSpec {
+
+  /** Gaussian init with given std, deterministic in `seed`. */
+  def gaussian(rows: Int, cols: Int, std: Double, seed: Long): Mat = {
+    val rng = new scala.util.Random(seed)
+    new Mat(rows, cols, Array.fill(rows * cols)(rng.nextGaussian() * std))
   }
 }
