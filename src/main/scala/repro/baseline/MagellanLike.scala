@@ -63,14 +63,7 @@ object MagellanLike {
   }
 
   def collectProfiles(ds: ERDataset, df: org.apache.spark.sql.DataFrame): Map[Long, Profile] =
-    df.collect().map { r =>
-      val id = r.getLong(r.fieldIndex("id"))
-      val vals = ds.attrs.map { a =>
-        val v = r.getAs[Any](a)
-        if (v == null) null else v.toString
-      }
-      id -> profile(vals)
-    }.toMap
+    ds.rawValues(df).map { case (id, vals) => id -> profile(vals.toSeq) }
 
   /** Run the baseline on the *same* labeled pairs and CV protocol as
     * DeepER (pairs come from [[DeepER.samplePairs]]) so Table 4 compares

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{ERDataset, NoiseModel}
 import repro.embedding.EmbeddingDict
 import repro.nn._
@@ -48,7 +48,6 @@ object DeepER {
       vecsB: Map[Long, Array[Array[Double]]],
       negRatio: Int,
       seed: Long,
-      candidatesPerNeg: Int = 5,
   ): (IndexedSeq[LabeledPair], Double) = {
     require(matches.nonEmpty, "samplePairs: no gold matches; the sampling threshold is the minimum matched cosine")
     val threshold = matches.map { case (a, b) => Similarity.tupleCosine(vecsA(a), vecsB(b)) }.min
@@ -66,7 +65,7 @@ object DeepER {
       (1 to negRatio).map { _ =>
         var best: (Long, Long) = null
         var bestSim = Double.NegativeInfinity
-        (1 to candidatesPerNeg).foreach { _ =>
+        (1 to CandidatesPerNeg).foreach { _ =>
           val replaceB = rng.nextBoolean()
           val i = rng.nextInt(if (replaceB) idsB.length else idsA.length)
           val cand = if (replaceB) (a, idsB(i)) else (idsA(i), b)
@@ -99,6 +98,9 @@ object DeepER {
     ((pos ++ neg), threshold)
   }
 
+  /** Random draws per negative in [[samplePairs]]; the most similar valid one is kept. */
+  private val CandidatesPerNeg = 5
+
   /** Fallback draws before [[samplePairs]] gives up. A draw is gold with
     * probability (gold pairs) / |A×B|, so the bound is only reached, short
     * of vanishing odds, when almost every pair in A×B is a match.
@@ -113,6 +115,25 @@ object DeepER {
     val matches = ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
     require(matches.nonEmpty, s"dataset ${ds.name} has no gold matches; DeepER needs at least one to train and evaluate")
     matches
+  }
+
+  /** A dataset's tuple DRs and the pairs [[samplePairs]] draws from them, with the pairs'
+    * labels and similarity-vector features (computed on first use).
+    */
+  final case class Prepared(ds: ERDataset, vecsA: Map[Long, Array[Array[Double]]],
+      vecsB: Map[Long, Array[Array[Double]]], pairs: IndexedSeq[LabeledPair]) {
+    lazy val labels: IndexedSeq[Double] = pairs.map(_.label)
+    lazy val cosFeats: IndexedSeq[Array[Double]] = pairs.map(p => Similarity.cosineVector(vecsA(p.a), vecsB(p.b)))
+  }
+
+  /** Distributed tuple embedding and the paper's negative sampling: the one preparation of
+    * the Table-4 head (`Experiments.prepare`) and of the Figure-5 network ([[prepareNet]]).
+    */
+  def embedAndSample(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, negRatio: Int, seed: Long): Prepared = {
+    val matches = goldMatches(ds)
+    val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
+    val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
+    Prepared(ds, vecsA, vecsB, samplePairs(matches, vecsA, vecsB, negRatio, seed)._1)
   }
 
   private def applyTrainKnobs(train: Seq[Int], labels: IndexedSeq[Double], cfg: Config): (Seq[Int], IndexedSeq[Double]) = {
@@ -206,65 +227,58 @@ object DeepER {
   /** Mean-F1 over folds. */
   def meanF1(prfs: Seq[PRF]): Double = prfs.map(_.f1).sum / prfs.size * 100.0
 
-  /** Tokenized tuples as embedding-table indices, collected per table. */
-  def collectTokenIndices(
-      ds: ERDataset, index: Map[String, Int], unkIdx: Int, maxTokensPerAttr: Int,
-  ): (Map[Long, Array[Array[Int]]], Map[Long, Array[Array[Int]]]) = {
-    def coll(df: org.apache.spark.sql.DataFrame) =
-      df.collect().map { r =>
-        val id = r.getLong(r.fieldIndex("id"))
-        val arrs = ds.attrs.map { a =>
-          val v = r.getAs[Any](a)
-          Tokenizer.tokenize(if (v == null) null else v.toString)
-            .take(maxTokensPerAttr)
-            .map(t => index.getOrElse(t, unkIdx))
-            .toArray
-        }.toArray
-        id -> arrs
-      }.toMap
-    (coll(ds.tableA), coll(ds.tableB))
+  /** The Figure-5 network's input: the sampled pairs as token-index examples over `emb`,
+    * whose last row, `unkIdx`, is UNK. [[netFolds]] only reads it, so variants can share one.
+    */
+  final case class NetPrep(nAttrs: Int, examples: IndexedSeq[PairExample], emb: Mat, unkIdx: Int)
+
+  /** [[embedAndSample]], then both tables tokenised once on the driver. The vocabulary is
+    * every distinct token; the examples keep each attribute's first `cfg.maxTokensPerAttr`.
+    */
+  def prepareNet(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, cfg: Config): NetPrep = {
+    val pairs = embedAndSample(spark, ds, dict, cfg.negRatio, cfg.seed).pairs
+    val toks = tokenized(ds)
+    val (index, emb, unkIdx) = dict.toTable(vocabulary(toks))
+    val (idxA, idxB) = indices(toks, index, unkIdx, cfg.maxTokensPerAttr)
+    NetPrep(ds.attrs.size, pairs.map(p => PairExample(idxA(p.a), idxB(p.b), p.label)), emb, unkIdx)
   }
 
-  /** Corpus vocabulary of a dataset (all distinct tokens of both tables),
-    * computed distributed.
-    */
-  def corpusVocab(spark: SparkSession, ds: ERDataset): Seq[String] = {
-    import org.apache.spark.sql.functions._
-    import spark.implicits._
-    val tok = udf((s: String) => Tokenizer.tokenize(s))
-    def toks(df: org.apache.spark.sql.DataFrame) =
-      df.select(explode(flatten(array(ds.attrs.map(a => tok(col(a).cast("string"))): _*))).as("t"))
-    toks(ds.tableA).union(toks(ds.tableB)).distinct().as[String].collect().toSeq.sorted
+  private type Tokens = Map[Long, Array[Seq[String]]]
+
+  /** Each table's tuples tokenised per attribute, from one collect of its raw strings. */
+  private def tokenized(ds: ERDataset): (Tokens, Tokens) = {
+    def tok(df: DataFrame) = ds.rawValues(df).map { case (id, vals) => id -> vals.map(Tokenizer.tokenize) }
+    (tok(ds.tableA), tok(ds.tableB))
   }
 
-  /** Full DeepER run through the end-to-end network of Figure 5 with a
-    * choice of composition and optional embedding fine-tuning
-    * (Sections 2.3 + 3.4; Figures 8 and 9).
+  private def vocabulary(t: (Tokens, Tokens)): Seq[String] =
+    (t._1.valuesIterator ++ t._2.valuesIterator).flatMap(_.iterator.flatten).toSet.toSeq.sorted
+
+  private def indices(t: (Tokens, Tokens), index: Map[String, Int], unkIdx: Int, maxTokensPerAttr: Int) = {
+    def idx(toks: Tokens) = toks.map { case (id, attrs) =>
+      id -> attrs.map(_.iterator.take(maxTokensPerAttr).map(index.getOrElse(_, unkIdx)).toArray)
+    }
+    (idx(t._1), idx(t._2))
+  }
+
+  /** [[prepareNet]]'s vocabulary, kept only for perfbench; ROADMAP item 1 deletes it. */
+  def corpusVocab(spark: SparkSession, ds: ERDataset): Seq[String] = vocabulary(tokenized(ds))
+
+  /** [[prepareNet]]'s token indices, kept only for perfbench; ROADMAP item 1 deletes it. */
+  def collectTokenIndices(ds: ERDataset, index: Map[String, Int], unkIdx: Int, maxTokensPerAttr: Int)
+      : (Map[Long, Array[Array[Int]]], Map[Long, Array[Array[Int]]]) =
+    indices(tokenized(ds), index, unkIdx, maxTokensPerAttr)
+
+  /** Per-fold PRF of the Figure-5 network with composition `comp` and optional embedding
+    * fine-tuning (Sections 2.3 + 3.4; Figures 8 and 9). Each fold builds its own net; a frozen
+    * table is only read and a tuned one is copied per fold, so the folds train at once, a
+    * thread each, and leave `p` as it was.
     */
-  def runNet(
-      spark: SparkSession,
-      ds: ERDataset,
-      dict: EmbeddingDict,
-      comp: Composition,
-      trainEmbeddings: Boolean,
-      cfg: Config = Config(negRatio = 4),
-  ): Seq[PRF] = {
-    val matches = goldMatches(ds)
-    val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
-    val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
-    val (pairs, _) = samplePairs(matches, vecsA, vecsB, cfg.negRatio, cfg.seed)
-
-    val vocab = corpusVocab(spark, ds)
-    val (index, emb0, unkIdx) = dict.toTable(vocab)
-    val (toksA, toksB) = collectTokenIndices(ds, index, unkIdx, cfg.maxTokensPerAttr)
-    val examples = pairs.map(p => PairExample(toksA(p.a), toksB(p.b), p.label))
-
-    // Each fold builds its own net; a frozen table is only read and a tuned
-    // one is copied per fold, so the folds train at once, a thread each.
-    crossValidateOn(examples, pairs.map(_.label), cfg) { (xs, ys, s) =>
+  def netFolds(p: NetPrep, comp: Composition, trainEmbeddings: Boolean, cfg: Config): Seq[PRF] =
+    crossValidateOn(p.examples, p.examples.map(_.label), cfg) { (xs, ys, s) =>
       startFit {
-        val emb = if (trainEmbeddings) emb0.copy() else emb0
-        val net = new DeepERNet(emb, unkIdx, ds.attrs.size, comp, cfg.hidden, trainEmbeddings, s)
+        val emb = if (trainEmbeddings) p.emb.copy() else p.emb
+        val net = new DeepERNet(emb, p.unkIdx, p.nAttrs, comp, cfg.hidden, trainEmbeddings, s)
         val trainEx = xs.zip(ys).map { case (ex, y) => ex.copy(label = y) }
         // Embeddings get a much smaller effective step than the dense
         // layers: Adam normalizes per-parameter step sizes, so the paper's
@@ -275,5 +289,9 @@ object DeepER {
         net.predictProb _
       }
     }
-  }
+
+  /** Full DeepER run through the end-to-end network: [[netFolds]] on a fresh [[prepareNet]]. */
+  def runNet(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, comp: Composition, trainEmbeddings: Boolean,
+      cfg: Config = Config(negRatio = 4)): Seq[PRF] =
+    netFolds(prepareNet(spark, ds, dict, cfg), comp, trainEmbeddings, cfg)
 }

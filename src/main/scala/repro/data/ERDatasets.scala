@@ -1,6 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import repro.embedding.SurfaceForm
 
@@ -21,6 +22,11 @@ final case class ERDataset(
   def nA: Long = tableA.count()
   def nB: Long = tableB.count()
   def nMatches: Long = matches.count()
+
+  /** Each tuple of `df` (a table of this dataset) by id: its attribute strings, NULL as null. */
+  def rawValues(df: DataFrame): Map[Long, Array[String]] =
+    df.select(col("id") +: attrs.map(a => col(a).cast("string")): _*).collect()
+      .map(r => r.getLong(0) -> Array.tabulate(attrs.size)(i => r.getString(i + 1))).toMap
 }
 
 /** Synthetic equivalents of the paper's seven benchmark datasets

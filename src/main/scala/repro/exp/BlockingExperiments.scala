@@ -119,20 +119,13 @@ object BlockingExperiments {
     (mlp, DeepER.bestThreshold(feats.map(f => mlp.predictProb(f._1)), feats.map(_._2)))
   }
 
-  /** Figure 12: multi-probe recall at L=1, K=10 for varying top-N. */
-  def multiProbe(
-      spark: SparkSession,
-      p: BlockPrep,
-      mps: Seq[Int] = Seq(0, 1, 2),
-      topNs: Seq[Int] = Seq(10, 20, 50, 100),
-  ): Seq[(Int, Int, Double)] = {
+  /** Figure 12: multi-probe recall at L=1, K=10 for varying top-N, one Spark action per mp. */
+  def multiProbe(spark: SparkSession, p: BlockPrep, mps: Seq[Int] = Seq(0, 1, 2),
+      topNs: Seq[Int] = Seq(10, 20, 50, 100)): Seq[(Int, Int, Double)] = {
     val m = RandomHyperplaneLSH.model(p.dim, 10, 1, seed = 29)
-    for {
-      mp <- mps
-      n <- topNs
-    } yield {
-      val cands = MultiProbeLSH.topNCandidates(spark, p.drA, p.drB, m, mp, n)
-      (mp, n, MultiProbeLSH.recall(cands, p.ds.matches))
+    mps.flatMap { mp =>
+      val recalls = MultiProbeLSH.recallAtTopN(spark, p.drA, p.drB, m, mp, topNs, p.ds.matches)
+      topNs.zip(recalls).map { case (n, r) => (mp, n, r) }
     }
   }
 

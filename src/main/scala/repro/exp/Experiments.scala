@@ -3,6 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.baseline.MagellanLike
 import repro.core._
+import repro.core.DeepER.Prepared
 import repro.data._
 import repro.embedding.EmbeddingDict
 import repro.nn._
@@ -24,26 +25,9 @@ object Experiments {
     (s"== $title ==" +: line(header) +: line(widths.map("-" * _)) +: rows.map(line)).mkString("\n")
   }
 
-  /** Shared per-dataset preparation: distributed tuple embedding, the
-    * paper's negative sampling, similarity-vector features.
-    */
-  final case class Prepared(
-      ds: ERDataset,
-      vecsA: Map[Long, Array[Array[Double]]],
-      vecsB: Map[Long, Array[Array[Double]]],
-      pairs: IndexedSeq[DeepER.LabeledPair],
-      cosFeats: IndexedSeq[Array[Double]],
-      labels: IndexedSeq[Double],
-  )
-
-  def prepare(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, negRatio: Int, seed: Long = 7): Prepared = {
-    val matches = DeepER.goldMatches(ds)
-    val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
-    val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
-    val (pairs, _) = DeepER.samplePairs(matches, vecsA, vecsB, negRatio, seed)
-    val feats = pairs.map(p => Similarity.cosineVector(vecsA(p.a), vecsB(p.b)))
-    Prepared(ds, vecsA, vecsB, pairs, feats, pairs.map(_.label))
-  }
+  /** The per-dataset preparation of Tables 4–7, Figures 6–7 and the nucleotide run. */
+  def prepare(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, negRatio: Int, seed: Long = 7): Prepared =
+    DeepER.embedAndSample(spark, ds, dict, negRatio, seed)
 
   /** DeepER-avg per-fold PRF on prepared features with the Figure-5 head.
     * Each fold fits its own head, so the folds train at once, each on its
@@ -220,9 +204,9 @@ object Experiments {
   def vectorUpdate(spark: SparkSession): Seq[Seq[String]] =
     ERDatasets.all(spark).map { ds =>
       val cfg = DeepER.Config(negRatio = 4, folds = 2, epochs = 12)
-      val dict = Dicts.impreciseLike(ds.forms)
-      val frozen = DeepER.meanF1(DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = false, cfg))
-      val tuned = DeepER.meanF1(DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = true, cfg))
+      val p = DeepER.prepareNet(spark, ds, Dicts.impreciseLike(ds.forms), cfg)
+      val frozen = DeepER.meanF1(DeepER.netFolds(p, AvgComp, trainEmbeddings = false, cfg))
+      val tuned = DeepER.meanF1(DeepER.netFolds(p, AvgComp, trainEmbeddings = true, cfg))
       val (pf, pt) = fig8Paper(ds.name)
       Seq(ds.name, fmtPct(frozen), fmtPct(tuned), fmtPct(pf), fmtPct(pt))
     }
@@ -239,10 +223,10 @@ object Experiments {
     val names = Seq("Pub-DA", "Prod-AG", "Rest-FZ")
     val cfg = DeepER.Config(negRatio = 2, folds = 2, epochs = 16, maxTokensPerAttr = 12)
     ERDatasets.all(spark).filter(d => names.contains(d.name)).map { ds =>
-      val dict = Dicts.gloveLike(ds.forms)
-      val avg = DeepER.meanF1(DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = false, cfg))
-      val bi = DeepER.meanF1(DeepER.runNet(spark, ds, dict, BiLstmComp(24), trainEmbeddings = false, cfg))
-      val s2v = DeepER.meanF1(DeepER.runNet(spark, ds, dict, Sent2VecComp, trainEmbeddings = true, cfg))
+      val p = DeepER.prepareNet(spark, ds, Dicts.gloveLike(ds.forms), cfg)
+      val avg = DeepER.meanF1(DeepER.netFolds(p, AvgComp, trainEmbeddings = false, cfg))
+      val bi = DeepER.meanF1(DeepER.netFolds(p, BiLstmComp(24), trainEmbeddings = false, cfg))
+      val s2v = DeepER.meanF1(DeepER.netFolds(p, Sent2VecComp, trainEmbeddings = true, cfg))
       val (pa, pb, ps) = fig9Paper(ds.name)
       Seq(ds.name, fmtPct(avg), fmtPct(bi), fmtPct(s2v), fmtPct(pa), fmtPct(pb), fmtPct(ps))
     }

@@ -34,21 +34,16 @@ object MultiProbeLSH {
     *
     * @return DataFrame(idA, idB, sim)
     */
-  def topNCandidates(
-      spark: SparkSession,
-      drA: DataFrame,
-      drB: DataFrame,
-      m: LSHModel,
-      mp: Int,
-      topN: Int,
-  ): DataFrame = {
+  def topNCandidates(spark: SparkSession, drA: DataFrame, drB: DataFrame, m: LSHModel, mp: Int, topN: Int): DataFrame =
+    ranked(spark, drA, drB, m, mp).where(col("rank") <= topN).drop("rank")
+
+  /** Every multi-probe candidate with its rank among its A tuple's: (idA, idB, sim, rank). */
+  private def ranked(spark: SparkSession, drA: DataFrame, drB: DataFrame, m: LSHModel, mp: Int): DataFrame = {
     val cos = udf((a: Array[Double], b: Array[Double]) => repro.nn.Linalg.cosine(a, b))
     val w = Window.partitionBy("idA").orderBy(col("sim").desc, col("idB"))
     RandomHyperplaneLSH.candidatesWith(spark, drA, drB, m, Seq("dr"), mp)
       .select(col("idA"), col("idB"), cos(col("drA"), col("drB")).as("sim"))
       .withColumn("rank", row_number().over(w))
-      .where(col("rank") <= topN)
-      .drop("rank")
   }
 
   /** Recall of the gold matches among the retained candidates (1.0 when
@@ -56,4 +51,14 @@ object MultiProbeLSH {
     */
   def recall(candidates: DataFrame, matches: DataFrame): Double =
     RandomHyperplaneLSH.completeness(candidates, matches)._1
+
+  /** [[recall]] of [[topNCandidates]] at every N of `topNs`, ranked once: one
+    * aggregation of the gold pairs left-joined to their candidates' ranks.
+    */
+  def recallAtTopN(spark: SparkSession, drA: DataFrame, drB: DataFrame, m: LSHModel, mp: Int,
+      topNs: Seq[Int], matches: DataFrame): Seq[Double] = {
+    val r = matches.select("idA", "idB").join(ranked(spark, drA, drB, m, mp), Seq("idA", "idB"), "left")
+      .agg(count(lit(1)), topNs.map(n => count(when(col("rank") <= n, true))): _*).head()
+    topNs.indices.map(i => if (r.getLong(0) == 0) 1.0 else r.getLong(i + 1).toDouble / r.getLong(0))
+  }
 }

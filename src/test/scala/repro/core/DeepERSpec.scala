@@ -1,11 +1,12 @@
 package repro.core
 
+import org.apache.spark.sql.Row
 import repro.SparkSpec
 import repro.baseline.{MagellanLike, RandomForest}
-import repro.data.ERDatasets
+import repro.data.{ERDataset, ERDatasets}
 import repro.embedding.SyntheticGlove
 import repro.exp.Experiments
-import repro.nn.{AvgComp, BiLstmComp, MLPClassifier}
+import repro.nn.{AvgComp, BiLstmComp, MLPClassifier, PairExample, Sent2VecComp}
 
 class DeepERSpec extends SparkSpec {
 
@@ -211,6 +212,53 @@ class DeepERSpec extends SparkSpec {
     val (ta, _) = DeepER.collectTokenIndices(ds, index, unkIdx, maxTokensPerAttr = 2)
     assert(ta.nonEmpty)
     assert(ta.values.forall(_.forall(_.length <= 2)))
+  }
+
+  /** Token indices per tuple as nested `Seq`s, which compare by value. */
+  private def bySeq(t: Map[Long, Array[Array[Int]]]) = t.map { case (id, as) => id -> as.map(_.toSeq).toSeq }
+  private def bySeq(ex: PairExample) = (ex.a.map(_.toSeq).toSeq, ex.b.map(_.toSeq).toSeq, ex.label)
+
+  /** `ds` with one more tuple in table A whose every attribute is NULL. */
+  private def withNullTuple(d: ERDataset) = {
+    val nullRow = Row.fromSeq(Long.MaxValue +: d.attrs.map(_ => null))
+    val nulls = spark.createDataFrame(spark.sparkContext.parallelize(Seq(nullRow), 1), d.tableA.schema)
+    d.copy(tableA = d.tableA.union(nulls))
+  }
+
+  test("the driver-side vocabulary and token indices equal the distributed reference on every dataset") {
+    for (d <- ERDatasets.all(spark) :+ withNullTuple(ds)) {
+      val vocab = DeepER.corpusVocab(spark, d)
+      assert(vocab == ReferenceTokens.corpusVocab(spark, d), d.name)
+      val (index, _, unk) = dict.toTable(vocab)
+      val (ta, tb) = DeepER.collectTokenIndices(d, index, unk, maxTokensPerAttr = 3)
+      val (ra, rb) = ReferenceTokens.collectTokenIndices(d, index, unk, maxTokensPerAttr = 3)
+      assert(bySeq(ta) == bySeq(ra) && bySeq(tb) == bySeq(rb), d.name)
+    }
+    val (ta, _) = DeepER.collectTokenIndices(withNullTuple(ds), Map.empty, 0, maxTokensPerAttr = 3)
+    assert(bySeq(ta)(Long.MaxValue) == ds.attrs.map(_ => Nil))
+  }
+
+  test("prepareNet builds the reference examples, embedding table and UNK row over the sampled pairs") {
+    val cfg = DeepER.Config(negRatio = 3, maxTokensPerAttr = 2, seed = 12)
+    for (d <- Seq(ds, withNullTuple(ds))) {
+      val p = DeepER.prepareNet(spark, d, dict, cfg)
+      val (index, emb, unk) = dict.toTable(ReferenceTokens.corpusVocab(spark, d))
+      val (ta, tb) = ReferenceTokens.collectTokenIndices(d, index, unk, cfg.maxTokensPerAttr)
+      val pairs = Experiments.prepare(spark, d, dict, cfg.negRatio, cfg.seed).pairs
+      assert(p.examples.map(bySeq) == pairs.map(q => bySeq(PairExample(ta(q.a), tb(q.b), q.label))))
+      assert(p.unkIdx == unk && p.nAttrs == d.attrs.size)
+      assert((p.emb.rows, p.emb.cols) == ((emb.rows, emb.cols)) && p.emb.data.sameElements(emb.data))
+    }
+  }
+
+  test("a shared prepareNet: a tuned run, then a frozen one, equals a fresh frozen runNet") {
+    val cfg = DeepER.Config(negRatio = 2, folds = 2, epochs = 4, maxTokensPerAttr = 5, seed = 13)
+    val p = DeepER.prepareNet(spark, ds, dict, cfg)
+    val emb0 = p.emb.data.clone()
+    DeepER.netFolds(p, Sent2VecComp, trainEmbeddings = true, cfg)
+    assert(p.emb.data.sameElements(emb0), "a tuned run changed the shared embedding table")
+    assert(DeepER.netFolds(p, AvgComp, trainEmbeddings = false, cfg) ==
+      DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = false, cfg))
   }
 
   test("runNet with averaging composition works end-to-end on a small config") {

@@ -1,6 +1,8 @@
 package repro.embedding
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.{Oracle, SparkSpec}
+import repro.core.Tokenizer
 import repro.nn.Linalg
 
 class EmbeddingDictSpec extends AnyFunSuite {
@@ -156,5 +158,42 @@ class RetrofitSpec extends AnyFunSuite {
   test("retrofit preserves words outside the graph") {
     val d = Retrofit.retrofit(base, Map("oov" -> Seq("known1")))
     assert(d.lookup("known2").sameElements(base.lookup("known2")))
+  }
+}
+
+class RetrofitEdgesSpec extends SparkSpec {
+
+  test("cooccurrenceEdges keeps each word's top-maxDegree neighbours as DuckDB's row_number by (count desc, nbr)") {
+    import spark.implicits._
+    // 40 tuples over 9 tokens: small counts, so many neighbours tie at the
+    // cut and the nbr tie-break decides which are kept. Repeated tokens
+    // and NULL attributes included.
+    val rng = new scala.util.Random(41)
+    def attr() = if (rng.nextInt(6) == 0) null else Seq.fill(rng.nextInt(4))(s"W${rng.nextInt(9)}").mkString(" ")
+    val rows = (0 until 40).map(i => (i.toLong, attr(), attr()))
+    val maxDegree = 3
+    val edges = Retrofit.cooccurrenceEdges(
+      spark, rows.toDF("id", "a", "b"), Seq("a", "b"), Tokenizer.tokenize, maxDegree)
+    // (tuple id, token) for each distinct token of a tuple: the oracle's input.
+    val toks = rows.flatMap { case (id, a, b) =>
+      (Tokenizer.tokenize(a) ++ Tokenizer.tokenize(b)).distinct.map((id, _))
+    }
+
+    val counts = toks.groupBy(_._1).values.flatMap(ts => for ((_, w) <- ts; (_, n) <- ts if w != n) yield (w, n))
+      .groupBy(identity).map { case (e, es) => e -> es.size }
+    val tiedAtCut = counts.groupBy(_._1._1).values.count { cs =>
+      val sorted = cs.values.toSeq.sorted.reverse
+      sorted.size > maxDegree && sorted(maxDegree - 1) == sorted(maxDegree)
+    }
+    assert(tiedAtCut > 0, "the table should have ties at the maxDegree cut")
+
+    // Each kept neighbour with its position in the word's list, so the order is checked too.
+    val ranked = edges.toSeq.flatMap { case (w, ns) => ns.zipWithIndex.map { case (n, i) => (w, n, i + 1L) } }
+    Oracle.assertEquivalent(
+      ranked.toDF("w", "nbr", "rk"),
+      "WITH e AS (SELECT x.t AS w, y.t AS nbr, count(*) AS c FROM toks x JOIN toks y " +
+        "ON x.id = y.id AND x.t <> y.t GROUP BY x.t, y.t) SELECT w, nbr, rk FROM (SELECT w, nbr, " +
+        s"row_number() OVER (PARTITION BY w ORDER BY c DESC, nbr) AS rk FROM e) WHERE rk <= $maxDegree",
+      "toks" -> toks.toDF("id", "t"))
   }
 }

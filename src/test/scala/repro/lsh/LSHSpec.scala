@@ -282,10 +282,14 @@ class MultiProbeLSHSpec extends SparkSpec {
       spark.sparkContext.parallelize(base.take(80).map { case (i, _) => Row(i, i + 1000L) }, 2),
       StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false))))
     val m = RandomHyperplaneLSH.model(dim, 10, 1, seed = 26)
-    def recallAt(mp: Int) = MultiProbeLSH.recall(
-      MultiProbeLSH.topNCandidates(spark, a, b, m, mp, topN = 20), gold)
-    val r0 = recallAt(0); val r2 = recallAt(2)
+    def recallAt(mp: Int, topN: Int) = MultiProbeLSH.recall(
+      MultiProbeLSH.topNCandidates(spark, a, b, m, mp, topN), gold)
+    val r0 = recallAt(0, 20); val r2 = recallAt(2, 20)
     assert(r2 > r0, s"mp0=$r0 mp2=$r2")
+    // One ranking per mp gives the recall of each top-N cut exactly.
+    val ns = Seq(1, 3, 20)
+    for (mp <- Seq(0, 2))
+      assert(MultiProbeLSH.recallAtTopN(spark, a, b, m, mp, ns, gold) == ns.map(recallAt(mp, _)), s"mp = $mp")
   }
 
   test("topNCandidates ranks the candidatesWith pairs as DuckDB's row_number by (sim desc, idB)") {
