@@ -219,16 +219,4 @@ object ERDatasets {
   /** The six main benchmark datasets of Tables 3–4, in paper order. */
   def all(spark: SparkSession): Seq[ERDataset] =
     Seq(prodWA(spark), prodAG(spark), pubDA(spark), pubDS(spark), pubDC(spark), restFZ(spark))
-
-  /** Paper's Table 3 statistics, keyed by our dataset name, for the
-    * paper-vs-measured printout of `Table3DataStatsBench`.
-    */
-  val paperStats: Map[String, (String, String, Int)] = Map(
-    "Prod-WA" -> (("2,554 - 22,074", "1,154", 17)),
-    "Prod-AG" -> (("1,363 - 3,226", "1,300", 5)),
-    "Pub-DA"  -> (("2,616 - 2,294", "2,224", 4)),
-    "Pub-DS"  -> (("2,616 - 64,263", "5,347", 4)),
-    "Pub-DC"  -> (("1,823,978 - 2,512,927", "558,787", 4)),
-    "Rest-FZ" -> (("533 - 331", "112", 7)),
-  )
 }

@@ -18,8 +18,15 @@ object GloveTrainer {
 
   /** Windowed co-occurrence counts over a corpus of documents.
     *
+    * GloVe weights a co-occurrence at distance d by 1/d. Each weight is
+    * summed as the integer lcm(1..window)/d and divided by lcm(1..window)
+    * once per pair, so a count is exact and does not depend on the order
+    * in which the shuffle returns rows. The map is built in pair order, so
+    * iterating it (as [[fit]] does) does not depend on that order either.
+    *
     * @param docs   DataFrame with an array<string> column `tokensCol`
-    * @param window symmetric context window size
+    * @param window symmetric context window size, 1 to 20: lcm(1..20) is
+    *               232,792,560, so a Long sum has room for 10^10 co-occurrences
     * @return ((wordA, wordB) → count) with wordA < wordB lexicographically
     */
   def cooccurrenceCounts(
@@ -29,6 +36,8 @@ object GloveTrainer {
       window: Int = 5,
   ): Map[(String, String), Double] = {
     import spark.implicits._
+    require(window >= 1 && window <= 20, s"cooccurrenceCounts: window must be in 1..20, got $window")
+    val lcm = (1 to window).foldLeft(1L)((m, d) => m / BigInt(m).gcd(d).toLong * d)
     docs
       .select(col(tokensCol))
       .as[Seq[String]]
@@ -38,15 +47,16 @@ object GloveTrainer {
           j <- math.max(0, i - window) until i
         } yield {
           val (a, b) = if (toks(j) <= toks(i)) (toks(j), toks(i)) else (toks(i), toks(j))
-          // GloVe weights co-occurrence by 1/distance.
-          ((a, b), 1.0 / (i - j))
+          ((a, b), lcm / (i - j))
         }
       }
       .toDF("pair", "w")
       .groupBy("pair")
       .agg(sum("w").as("x"))
-      .as[((String, String), Double)]
+      .as[((String, String), Long)]
       .collect()
+      .map { case (pair, x) => pair -> x.toDouble / lcm }
+      .sortBy(_._1) // pairs whose hashes collide iterate in insertion order: make it the sorted one
       .toMap
   }
 

@@ -3,17 +3,17 @@ package repro.exp
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.data.{ERDataset, ERDatasets}
+import repro.data.ERDataset
 import repro.lsh._
 import repro.nn.MLPClassifier
 
-/** Harnesses for the LSH-blocking experiments (Section 5.4, Figures
-  * 10–12): pair completeness / reduction ratio sweeps over K and L,
+/** The measurements of the LSH-blocking experiments (Section 5.4,
+  * Figures 10–12): pair completeness / reduction ratio sweeps over K and L,
   * end-to-end precision/recall with the classifier applied to blocked
-  * candidates (distributed), and multi-probe recall.
+  * candidates (distributed), and multi-probe recall. Their tables are
+  * defined in [[ExperimentRegistry]].
   */
 object BlockingExperiments {
-  import Experiments.fmtPct
 
   final case class BlockPrep(ds: ERDataset, drA: DataFrame, drB: DataFrame, dim: Int)
 
@@ -127,43 +127,5 @@ object BlockingExperiments {
       val recalls = MultiProbeLSH.recallAtTopN(spark, p.drA, p.drB, m, mp, topNs, p.ds.matches)
       topNs.zip(recalls).map { case (n, r) => (mp, n, r) }
     }
-  }
-
-  // Paper values for the printouts (Prod-AG / Pub-DS series of Figure 10).
-  val fig10aPaper = Map( // K -> (Prod-AG PC, Pub-DS PC) at L=10
-    1 -> (1.00, 1.00), 2 -> (1.00, 1.00), 4 -> (0.98, 1.00), 6 -> (0.93, 0.97),
-    8 -> (0.84, 0.90), 10 -> (0.74, 0.81))
-  val fig10bPaper = Map( // K -> (Prod-AG RR, Pub-DS RR) at L=10
-    1 -> (0.40, 0.08), 2 -> (0.40, 0.08), 4 -> (0.39, 0.08), 6 -> (0.34, 0.07),
-    8 -> (0.28, 0.05), 10 -> (0.20, 0.04))
-  val fig10cPaper = Map( // L -> (Prod-AG PC, Pub-DS PC) at K=4
-    1 -> (0.52, 0.60), 2 -> (0.70, 0.80), 4 -> (0.87, 0.93), 6 -> (0.94, 0.97),
-    8 -> (0.97, 0.99), 10 -> (0.98, 1.00))
-  val fig10dPaper = Map( // L -> (Prod-AG RR, Pub-DS RR) at K=4
-    1 -> (0.15, 0.03), 2 -> (0.22, 0.05), 4 -> (0.31, 0.06), 6 -> (0.35, 0.07),
-    8 -> (0.37, 0.08), 10 -> (0.39, 0.08))
-  val fig12Paper = Map( // (mp, topN) -> recall on Prod-AG
-    (0, 10) -> 0.16, (0, 20) -> 0.173, (0, 50) -> 0.186, (0, 100) -> 0.19,
-    (1, 10) -> 0.33, (1, 20) -> 0.36, (1, 50) -> 0.41, (1, 100) -> 0.44,
-    (2, 10) -> 0.42, (2, 20) -> 0.469, (2, 50) -> 0.53, (2, 100) -> 0.58)
-
-  /** Figure 10's two tables: PC and RR on Prod-AG and Pub-DS as K varies
-    * at L=10 (a-b) and as L varies at K=4 (c-d), next to the paper's.
-    */
-  def blockingSweepRows(spark: SparkSession): (Seq[Seq[String]], Seq[Seq[String]]) = {
-    val xs = Seq(1, 2, 4, 6, 8, 10) // the values of K, and of L
-    def series(ds: ERDataset) = {
-      val p = prepareBlocks(spark, ds)
-      kAndLSeries(xs, xs)(sweep(spark, p, _))
-    }
-    val (agK, agL) = series(ERDatasets.prodAG(spark))
-    val (dsK, dsL) = series(ERDatasets.pubDS(spark))
-    def rows(ag: Seq[(Double, Double)], ds: Seq[(Double, Double)],
-             pcPaper: Map[Int, (Double, Double)], rrPaper: Map[Int, (Double, Double)]) =
-      xs.lazyZip(ag).lazyZip(ds).map { case (x, (agPc, agRr), (dsPc, dsRr)) =>
-        Seq(x.toString, fmtPct(agPc), fmtPct(dsPc), fmtPct(pcPaper(x)._1), fmtPct(pcPaper(x)._2),
-          fmtPct(agRr), fmtPct(dsRr), fmtPct(rrPaper(x)._1), fmtPct(rrPaper(x)._2))
-      }
-    (rows(agK, dsK, fig10aPaper, fig10bPaper), rows(agL, dsL, fig10cPaper, fig10dPaper))
   }
 }

@@ -73,17 +73,15 @@ final class DeepERNet(
       val flatTokens: Array[Int],
   )
 
+  /** Averaging composition: the mean vector of each token list, UNK's for an empty one. */
+  private def avgVecs(t: Array[Array[Int]]): Array[Array[Double]] =
+    t.map(toks => if (toks.isEmpty) lookup(unkIdx) else Linalg.mean(toks.toIndexedSeq.map(lookup)))
+
   private def forwardTuple(t: Array[Array[Int]]): TupleFwd = comp match {
-    case AvgComp =>
-      val vs = t.map { toks =>
-        if (toks.isEmpty) lookup(unkIdx)
-        else Linalg.mean(toks.toIndexedSeq.map(lookup))
-      }
-      new TupleFwd(vs, null, null)
+    case AvgComp => new TupleFwd(avgVecs(t), null, null)
     case Sent2VecComp =>
       val toks = tokensOf(t)
-      val v = if (toks.isEmpty) lookup(unkIdx) else Linalg.mean(toks.toIndexedSeq.map(lookup))
-      new TupleFwd(Array(v), null, toks)
+      new TupleFwd(avgVecs(Array(toks)), null, toks)
     case BiLstmComp(_) =>
       val toks = tokensOf(t)
       val tr = BiLSTM.forward(biP, toks.map(lookup))
@@ -129,6 +127,7 @@ final class DeepERNet(
     }
   }
 
+  /** Backward of [[avgVecs]]: scatters each dV/n into the rows of its n tokens (UNK's for none). */
   private def backwardAvgTuple(t: Array[Array[Int]], dVecs: Array[Array[Double]]): Unit = {
     var k = 0
     while (k < t.length) {
@@ -177,14 +176,7 @@ final class DeepERNet(
             val dxs = BiLSTM.backward(biP, tf.biTr, dV, biG)
             if (trainEmbeddings) accumulateEmbGrad(tf.flatTokens, dxs)
           case Sent2VecComp =>
-            if (trainEmbeddings) {
-              val toks = if (tf.flatTokens.isEmpty) Array(unkIdx) else tf.flatTokens
-              val w = 1.0 / toks.length
-              toks.foreach { r =>
-                val off = r * dim; var j = 0
-                while (j < dim) { dEmb.data(off + j) += dV(j) * w; j += 1 }
-              }
-            }
+            if (trainEmbeddings) backwardAvgTuple(Array(tf.flatTokens), Array(dV))
           case AvgComp => ()
         }
         backTuple(f.fa, dVa)

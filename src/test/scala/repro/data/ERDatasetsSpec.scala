@@ -105,11 +105,6 @@ class ERDatasetsSpec extends SparkSpec {
     }
   }
 
-  test("paperStats covers exactly the six benchmark datasets") {
-    assert(ERDatasets.paperStats.keySet ==
-      Set("Prod-WA", "Prod-AG", "Pub-DA", "Pub-DS", "Pub-DC", "Rest-FZ"))
-  }
-
   test("dataset statistics agree with a DuckDB aggregation (Table 3 harness)") {
     val stats = fz.tableA.agg(count(lit(1)).as("n"))
     Oracle.assertEquivalent(stats, "SELECT count(1) AS n FROM ta", "ta" -> fz.tableA.select("id"))

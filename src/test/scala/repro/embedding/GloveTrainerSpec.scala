@@ -45,6 +45,31 @@ class GloveTrainerSpec extends SparkSpec {
     assert(math.abs(counts(("a", "b")) - 2.0) < 1e-9)
   }
 
+  test("counts are exact: a pair at distance 3 in five documents counts 20/12, not five Double thirds") {
+    import spark.implicits._
+    val docs = Seq.fill(5)(Seq("a", "x", "y", "b")).toDF("toks")
+    val counts = GloveTrainer.cooccurrenceCounts(spark, docs, "toks", window = 4)
+    assert(counts(("a", "b")) == 20.0 / 12)
+    assert(20.0 / 12 == 1.6666666666666667)
+    assert(Seq.fill(5)(1.0 / 3).sum == 1.6666666666666665)
+  }
+
+  test("counts iterate in one order whatever the row order, also for pairs whose hashes collide") {
+    import spark.implicits._
+    assert(("Aa", "z").## == ("BB", "z").##)
+    val docs = Seq(Seq("Aa", "z"), Seq("BB", "z"))
+    val orders = Seq(docs, docs.reverse).map(d =>
+      GloveTrainer.cooccurrenceCounts(spark, d.toDF("toks").coalesce(1), "toks").keys.toSeq)
+    assert(orders.head == orders.last)
+  }
+
+  test("cooccurrenceCounts rejects a window outside 1..20") {
+    import spark.implicits._
+    val tiny = Seq(Seq("a", "b")).toDF("toks")
+    for (w <- Seq(0, 21))
+      intercept[IllegalArgumentException](GloveTrainer.cooccurrenceCounts(spark, tiny, "toks", window = w))
+  }
+
   test("trained embeddings put co-occurring words closer than unrelated ones") {
     val counts = GloveTrainer.cooccurrenceCounts(spark, docs, "toks")
     val dict = GloveTrainer.fit(counts, dim = 16, epochs = 40, seed = 3)

@@ -1,5 +1,8 @@
 package repro.exp
 
+import java.nio.charset.StandardCharsets
+import java.nio.file.{Files, Paths}
+
 import repro.SparkSpec
 import repro.jobs.Run
 
@@ -23,19 +26,21 @@ class ExperimentRegistrySpec extends SparkSpec {
     assert(Run.experiment(Seq("fig11")).map(_.name) == Right("fig11"))
   }
 
+  /** The recorded texts that the bench suites assert, one file per registry entry. */
+  private val goldenDir = Paths.get("bench", "golden")
+
+  test("every registry entry has a golden file, and every golden file an entry") {
+    assert(goldenDir.toFile.list().toSeq.sorted == ExperimentRegistry.all.map(_.name + ".txt").sorted)
+  }
+
   test("table3 renders the Table 3 block of the bench output byte for byte") {
     val e = ExperimentRegistry.table3
-    val expected = Seq(
-      "== Table 3: data statistics ==",
-      "dataset  tuples(repro)  matches  attrs  tuples(paper)          matches(paper)  attrs(paper)",
-      "-------  -------------  -------  -----  ---------------------  --------------  ------------",
-      "Prod-WA  800 - 2000     500      17     2,554 - 22,074         1,154           17          ",
-      "Prod-AG  600 - 1200     500      5      1,363 - 3,226          1,300           5           ",
-      "Pub-DA   800 - 700      600      4      2,616 - 2,294          2,224           4           ",
-      "Pub-DS   800 - 2400     700      4      2,616 - 64,263         5,347           4           ",
-      "Pub-DC   1500 - 2000    1200     4      1,823,978 - 2,512,927  558,787         4           ",
-      "Rest-FZ  300 - 200      110      7      533 - 331              112             7           ",
-    ).mkString("\n")
-    assert(e.tables(e.measure(spark)).map(_.render) == Seq(expected))
+    val golden = new String(Files.readAllBytes(goldenDir.resolve("table3.txt")), StandardCharsets.UTF_8)
+    assert(e.text(e.measure(spark)) == golden)
+  }
+
+  test("table3's paper statistics cover exactly the six benchmark datasets") {
+    assert(ExperimentRegistry.table3Paper.keySet ==
+      Set("Prod-WA", "Prod-AG", "Pub-DA", "Pub-DS", "Pub-DC", "Rest-FZ"))
   }
 }
