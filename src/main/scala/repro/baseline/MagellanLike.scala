@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{DeepER, PRF}
+import repro.core.{DeepER, PRF, Tokenizer}
 import repro.data.ERDataset
 
 /** A Magellan-style end-to-end entity matcher (Konda et al. 2016): for
@@ -29,12 +29,15 @@ object MagellanLike {
 
   val featuresPerAttr = 6
 
-  def profile(values: Seq[String], capLen: Int = 40): Profile =
+  /** Characters of a value that Jaro-Winkler compares. */
+  private val CapLen = 40
+
+  def profile(values: Seq[String]): Profile =
     Profile(values.map { v =>
       AttrProfile(
         raw = v,
-        capped = if (v == null) null else v.take(capLen),
-        toks = StringSim.tokens(v),
+        capped = if (v == null) null else v.take(CapLen),
+        toks = Tokenizer.tokenize(v).toSet,
         trigrams = StringSim.trigrams(if (v == null) null else v.take(120)),
         numeric = StringSim.parseNumber(v),
       )

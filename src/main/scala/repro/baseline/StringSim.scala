@@ -5,8 +5,9 @@ package repro.baseline
   * observation (ii): experts pick from pools like SimMetrics' 29
   * functions). All return values in [0, 1], higher = more similar; both
   * inputs null/empty → 1.0 (agreement on absence), one-sided → 0.0.
-  * The set and trigram measures take [[tokens]] / [[trigrams]] of each
-  * string, which [[MagellanLike]] precomputes once per tuple.
+  * The set measures take token sets (`Tokenizer.tokenize(s).toSet`) and
+  * the trigram measure takes [[trigrams]] of each string, which
+  * [[MagellanLike]] precomputes once per tuple.
   */
 object StringSim {
 
@@ -47,17 +48,13 @@ object StringSim {
     j + prefix * 0.1 * (1.0 - j)
   }
 
-  def tokens(s: String): Set[String] =
-    if (s == null) Set.empty
-    else s.toLowerCase.split("\\s+").filter(_.nonEmpty).toSet
-
-  /** Jaccard coefficient of two token sets (see [[tokens]]). */
+  /** Jaccard coefficient of two token sets. */
   def jaccard(a: Set[String], b: Set[String]): Double =
     if (a.isEmpty && b.isEmpty) 1.0
     else if (a.isEmpty || b.isEmpty) 0.0
     else a.intersect(b).size.toDouble / a.union(b).size
 
-  /** Overlap coefficient of two token sets (see [[tokens]]). */
+  /** Overlap coefficient of two token sets. */
   def overlap(a: Set[String], b: Set[String]): Double =
     if (a.isEmpty && b.isEmpty) 1.0
     else if (a.isEmpty || b.isEmpty) 0.0

@@ -21,17 +21,20 @@ object DeepER {
       negRatio: Int = 100,
       folds: Int = 5,
       epochs: Int = 20,
-      batchSize: Int = 16,
-      lr: Double = 0.01,
-      l2: Double = 1e-3,
-      hidden: Int = 50,
       maxTokensPerAttr: Int = 20,
       seed: Long = 7,
       /** Fraction of each training split actually used (Figure 6). */
       trainFraction: Double = 1.0,
       /** Fraction of training labels flipped (Figure 7). */
       labelNoise: Double = 0.0,
-  )
+  ) {
+    // Section 5.1's mini-batch size, Adam learning rate, L2 weight and
+    // hidden units, which every experiment uses.
+    val batchSize: Int = 16
+    val lr: Double = 0.01
+    val l2: Double = 1e-3
+    val hidden: Int = 50
+  }
 
   final case class LabeledPair(a: Long, b: Long, label: Double)
 

@@ -76,7 +76,7 @@ object ERDatasets {
     attrGens.map { ag =>
       val toks = e(ag.name)
       val out = ag.kind match {
-        case Words(pool, _, _, _, over) => NoiseModel.perturbAttr(toks, over.getOrElse(noise), Seq(pool), rng)
+        case Words(pool, _, _, _, over) => NoiseModel.perturbAttr(toks, over.getOrElse(noise), pool, rng)
         case YearAttr(_)          => toks // years rarely disagree between true duplicates
         case Numeric(_, _, _) =>
           toks.map { t =>
@@ -93,12 +93,23 @@ object ERDatasets {
       if (toks.isEmpty) null else toks.map(_.form).mkString(" ")
     }
 
-  private def toDf(spark: SparkSession, attrs: Seq[String], rows: Seq[(Long, Entity)]): DataFrame = {
+  /** A generated dataset from its rendered rows. `aRows(i)` is the
+    * attribute strings (null for NULL) of A's tuple with id i. `bRows` is
+    * B's tuples in their shuffled order, each with the id of the A tuple it
+    * duplicates or -1 for a fresh one; B's ids are their positions. The
+    * tables have 8 partitions and the gold `(idA, idB)` pairs 4.
+    */
+  def assemble(spark: SparkSession, name: String, attrs: Seq[String], aRows: Seq[Seq[String]],
+      bRows: Seq[(Long, Seq[String])], forms: Seq[SurfaceForm], easy: Boolean): ERDataset = {
     val schema = StructType(
       StructField("id", LongType, nullable = false) +:
         attrs.map(a => StructField(a, StringType, nullable = true)))
-    val data = rows.map { case (id, e) => Row.fromSeq(id +: render(e, attrs)) }
-    spark.createDataFrame(spark.sparkContext.parallelize(data, 8), schema)
+    def table(rows: Seq[Seq[String]]): DataFrame = spark.createDataFrame(spark.sparkContext.parallelize(
+      rows.zipWithIndex.map { case (values, id) => Row.fromSeq(id.toLong +: values) }, 8), schema)
+    val matchPairs = bRows.zipWithIndex.collect { case ((aId, _), bId) if aId >= 0 => Row(aId, bId.toLong) }
+    val matchSchema = StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false)))
+    ERDataset(name, attrs, table(aRows), table(bRows.map(_._2)),
+      spark.createDataFrame(spark.sparkContext.parallelize(matchPairs, 4), matchSchema), forms, easy)
   }
 
   /** Generic two-table generator.
@@ -125,24 +136,14 @@ object ERDatasets {
     val dupes = (0 until nMatches).map(i => (i.toLong, perturb(aEntities(i), attrGens, noise, rng)))
     val fresh = (0 until (nB - nMatches)).map(_ => (-1L, drawEntity(attrGens, rng)))
     val shuffled = rng.shuffle(dupes ++ fresh)
-    val bRows = shuffled.zipWithIndex.map { case ((_, e), bId) => (bId.toLong, e) }
-    val matchPairs = shuffled.zipWithIndex.collect { case ((aId, _), bId) if aId >= 0 => (aId, bId.toLong) }
-
-    val matchSchema = StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false)))
-    val matchesDf = spark.createDataFrame(
-      spark.sparkContext.parallelize(matchPairs.map(p => Row(p._1, p._2)), 4), matchSchema)
-
     val forms = attrGens.flatMap {
       case AttrGen(_, Words(pool, _, _, _, _)) => pool.surfaceForms
       case AttrGen(_, YearAttr(pool))          => pool.surfaceForms
       case _                                   => Nil
     }.distinct
 
-    ERDataset(
-      name, attrs,
-      toDf(spark, attrs, aEntities.indices.map(i => (i.toLong, aEntities(i)))),
-      toDf(spark, attrs, bRows),
-      matchesDf, forms, easy)
+    assemble(spark, name, attrs, aEntities.map(render(_, attrs)),
+      shuffled.map { case (aId, e) => (aId, render(e, attrs)) }, forms, easy)
   }
 
   private val easyNoise = Noise(synonymRate = 0.12, typoRate = 0.04, dropRate = 0.05, nullifyRate = 0.02)

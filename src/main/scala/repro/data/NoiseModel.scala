@@ -36,20 +36,15 @@ object NoiseModel {
         w.substring(0, i) + w.substring(i + 1)
     }
 
-  /** Perturb one attribute's token sequence into its duplicate's version. */
-  def perturbAttr(
-      toks: Vector[Tok],
-      noise: Noise,
-      pools: Seq[WordPool],
-      rng: scala.util.Random,
-  ): Vector[Tok] = {
+  /** Perturb one attribute's token sequence, drawn from `pool`, into its duplicate's version. */
+  def perturbAttr(toks: Vector[Tok], noise: Noise, pool: WordPool, rng: scala.util.Random): Vector[Tok] = {
     if (rng.nextDouble() < noise.nullifyRate) return Vector.empty
     var out = toks.flatMap { t =>
       if (rng.nextDouble() < noise.dropRate && toks.size > 1) None
       else {
         var tt = t
         if (rng.nextDouble() < noise.synonymRate)
-          pools.foreach(p => tt = p.synonym(tt, rng))
+          tt = pool.synonym(tt, rng)
         if (rng.nextDouble() < noise.typoRate)
           tt = tt.copy(form = typo(tt.form, rng))
         Some(tt)

@@ -1,7 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.SparkSession
 
 /** Synthetic nucleotide duplicate-detection benchmark, standing in for the
   * 21-organism benchmark of Chen, Zobel & Verspoor used in Section 5.2
@@ -79,23 +78,13 @@ object Nucleotide {
       (-1L, Raw(randomSeq(seqLen, rng), rng.nextInt(nOrganisms), genePool.drawToken(rng))))
     val shuffled = rng.shuffle(dupes ++ fresh)
 
-    val attrs = Seq("sequence", "organism", "gene")
-    val schema = StructType(StructField("id", LongType, false) +: attrs.map(a => StructField(a, StringType, true)))
-    def dualOrSingle(forms: Vector[String], rg: scala.util.Random): String =
-      if (rg.nextDouble() < 0.3) forms.mkString(" ") else forms(rg.nextInt(forms.size))
-    def row(id: Long, r: Raw, rg: scala.util.Random): Row = {
-      Row(id, kmerize(r.seq), dualOrSingle(orgForms(r.org), rg), dualOrSingle(geneForms(r.gene), rg))
-    }
-    val aRows = aRaw.indices.map(i => row(i.toLong, aRaw(i), rng))
-    val bRows = shuffled.zipWithIndex.map { case ((_, r), bId) => row(bId.toLong, r, rng) }
-    val matchPairs = shuffled.zipWithIndex.collect { case ((aId, _), bId) if aId >= 0 => Row(aId, bId.toLong) }
-    val matchSchema = StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false)))
-
-    ERDataset(
-      "Nucleotide", attrs,
-      spark.createDataFrame(spark.sparkContext.parallelize(aRows, 8), schema),
-      spark.createDataFrame(spark.sparkContext.parallelize(bRows, 8), schema),
-      spark.createDataFrame(spark.sparkContext.parallelize(matchPairs, 4), matchSchema),
+    def dualOrSingle(forms: Vector[String]): String =
+      if (rng.nextDouble() < 0.3) forms.mkString(" ") else forms(rng.nextInt(forms.size))
+    def values(r: Raw): Seq[String] = Seq(kmerize(r.seq), dualOrSingle(orgForms(r.org)), dualOrSingle(geneForms(r.gene)))
+    // A is rendered before B: both draw from `rng`.
+    val aRows = aRaw.map(values)
+    val bRows = shuffled.map { case (aId, r) => (aId, values(r)) }
+    ERDatasets.assemble(spark, "Nucleotide", Seq("sequence", "organism", "gene"), aRows, bRows,
       forms = Nil, // no pre-trained vocabulary: embeddings are learned from data
       easy = false)
   }

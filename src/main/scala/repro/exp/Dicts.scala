@@ -14,9 +14,10 @@ import repro.embedding.{EmbeddingDict, Retrofit, SurfaceForm, SyntheticGlove}
   * | paper dictionary        | coverage | formCov | noiseStd |
   * |-------------------------|----------|---------|----------|
   * | GloVe Common-Crawl 840B | 0.97     | 1.0     | 0.15     |
-  * | GloVe Wiki 6B           | 0.50     | 0.3     | 1.00     |
+  * | GloVe Wiki 6B           | 0.50     | 0.4     | 0.80     |
   * | Word2Vec GoogleNews     | 0.95     | 1.0     | 0.18     |
   * | FastText (word-level)   | 0.93     | 1.0     | 0.20     |
+  * | imprecise (Figure 8)    | 0.97     | 1.0     | 0.90     |
   * | Spanish (translated)    | 0.60     | 1.0     | 1.00     |
   */
 object Dicts {

@@ -27,9 +27,9 @@ final class Adam(lr: Double = 0.01, beta1: Double = 0.9, beta2: Double = 0.999, 
     slots = Slot(param, grad, lrScale, decay) :: slots
   }
 
-  def registerAll(params: Seq[Array[Double]], grads: Seq[Array[Double]], lrScale: Double = 1.0): Unit = {
+  def registerAll(params: Seq[Array[Double]], grads: Seq[Array[Double]]): Unit = {
     require(params.length == grads.length)
-    params.zip(grads).foreach { case (p, g) => register(p, g, lrScale) }
+    params.zip(grads).foreach { case (p, g) => register(p, g) }
   }
 
   /** Apply one update from the accumulated gradients, then zero them.

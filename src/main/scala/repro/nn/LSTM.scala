@@ -133,7 +133,6 @@ object LSTM {
 final class BiLSTMParams(val inDim: Int, val hidDim: Int, seed: Long) extends Serializable {
   val fwd = new LSTMParams(inDim, hidDim, seed)
   val bwd = new LSTMParams(inDim, hidDim, seed + 100)
-  def outDim: Int = 2 * hidDim
   def parameters: Seq[Array[Double]] = fwd.parameters ++ bwd.parameters
 }
 

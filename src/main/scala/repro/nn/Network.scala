@@ -44,9 +44,10 @@ final class DeepERNet(
 
   val dim: Int = emb.cols
 
-  private val biP: BiLSTMParams = comp match {
-    case BiLstmComp(h) => new BiLSTMParams(dim, h, seed + 2)
-    case _             => null
+  /** The Bi-LSTM composer's parameters and their gradients; `None` for the averaging compositions. */
+  private val biLstm: Option[(BiLSTMParams, BiLSTMGrads)] = comp match {
+    case BiLstmComp(h) => Some((new BiLSTMParams(dim, h, seed + 2), new BiLSTMGrads(dim, h)))
+    case _             => None
   }
 
   val simDim: Int = comp match {
@@ -56,55 +57,65 @@ final class DeepERNet(
   }
   private val head = new MLPClassifier(simDim, hidden, seed + 3)
 
-  // ---- gradients -------------------------------------------------------
   private val dEmb = Mat.zeros(emb.rows, emb.cols)
-  private val biG = if (biP != null) new BiLSTMGrads(dim, biP.hidDim) else null
 
   private def lookup(idx: Int): Array[Double] = emb.row(idx)
 
-  private def tokensOf(t: Array[Array[Int]]): Array[Int] = t.flatten
+  /** Adds `w * v` to row `r` of `dEmb`. */
+  private def addToRow(r: Int, v: Array[Double], w: Double): Unit = {
+    val off = r * dim; var j = 0
+    while (j < dim) { dEmb.data(off + j) += v(j) * w; j += 1 }
+  }
 
-  /** Per-tuple DR(s): one vector per attribute for Avg, a single composed
-    * vector otherwise. Also returns traces needed for backprop.
+  /** A tuple's DR vectors, and the backward that takes dL/d(those vectors). */
+  private type Composed = (Array[Array[Double]], Array[Array[Double]] => Unit)
+
+  /** Composition (Section 2.3): one vector per attribute for Avg, one for
+    * the tuple otherwise. The backward adds into the Bi-LSTM's gradients
+    * and, when `trainEmbeddings` is set, into `dEmb`.
     */
-  private final class TupleFwd(
-      val attrVecs: Array[Array[Double]],  // Avg: m vectors; else: length 1
-      val biTr: BiLSTMTrace,
-      val flatTokens: Array[Int],
-  )
-
-  /** Averaging composition: the mean vector of each token list, UNK's for an empty one. */
-  private def avgVecs(t: Array[Array[Int]]): Array[Array[Double]] =
-    t.map(toks => if (toks.isEmpty) lookup(unkIdx) else Linalg.mean(toks.toIndexedSeq.map(lookup)))
-
-  private def forwardTuple(t: Array[Array[Int]]): TupleFwd = comp match {
-    case AvgComp => new TupleFwd(avgVecs(t), null, null)
-    case Sent2VecComp =>
-      val toks = tokensOf(t)
-      new TupleFwd(avgVecs(Array(toks)), null, toks)
-    case BiLstmComp(_) =>
-      val toks = tokensOf(t)
-      val tr = BiLSTM.forward(biP, toks.map(lookup))
-      new TupleFwd(Array(tr.last), tr, toks)
+  private def compose(t: Array[Array[Int]]): Composed = biLstm match {
+    case Some((p, g)) =>
+      val toks = t.flatten
+      val tr = BiLSTM.forward(p, toks.map(lookup))
+      (Array(tr.last), dV => {
+        val dxs = BiLSTM.backward(p, tr, dV(0), g)
+        if (trainEmbeddings) toks.indices.foreach(i => addToRow(toks(i), dxs(i), 1.0))
+      })
+    case None => average(if (comp == AvgComp) t else Array(t.flatten))
   }
 
-  private final class PairFwd(val fa: TupleFwd, val fb: TupleFwd, val sim: Array[Double])
+  /** Averaging (Algorithm 1): the mean vector of each token list, UNK's for
+    * an empty one. Its backward scatters each dV/n into the rows of the n tokens.
+    */
+  private def average(t: Array[Array[Int]]): Composed = {
+    val vecs = t.map(ts => if (ts.isEmpty) lookup(unkIdx) else Linalg.mean(ts.toIndexedSeq.map(lookup)))
+    (vecs, dVecs => if (trainEmbeddings) t.indices.foreach { k =>
+      val rows = if (t(k).isEmpty) Array(unkIdx) else t(k)
+      rows.foreach(addToRow(_, dVecs(k), 1.0 / rows.length))
+    })
+  }
 
-  /** Similarity layer: cosine per attribute (Avg) or |v - v'| (composed). */
-  private def forwardPair(ex: PairExample): PairFwd = {
-    val fa = forwardTuple(ex.a)
-    val fb = forwardTuple(ex.b)
-    val sim: Array[Double] = comp match {
-      case AvgComp =>
-        Array.tabulate(nAttrs)(k => Linalg.cosine(fa.attrVecs(k), fb.attrVecs(k)))
-      case _ =>
-        val d = Linalg.sub(fa.attrVecs(0), fb.attrVecs(0))
-        d.map(math.abs)
+  /** Similarity layer: cosine per attribute (Avg) or |va - vb| (composed). */
+  private def similarity(va: Array[Array[Double]], vb: Array[Array[Double]]): Array[Double] =
+    if (comp == AvgComp) Array.tabulate(nAttrs)(k => Linalg.cosine(va(k), vb(k)))
+    else Linalg.sub(va(0), vb(0)).map(math.abs)
+
+  def predictProb(ex: PairExample): Double = head.predictProb(similarity(compose(ex.a)._1, compose(ex.b)._1))
+
+  /** Backward of [[similarity]]: dL/dva and dL/dvb from dL/dsim. */
+  private def similarityBackward(va: Array[Array[Double]], vb: Array[Array[Double]], sim: Array[Double],
+      dSim: Array[Double]): (Array[Array[Double]], Array[Array[Double]]) =
+    if (comp == AvgComp)
+      (Array.tabulate(nAttrs)(k => dCosine(va(k), vb(k), sim(k), dSim(k))),
+        Array.tabulate(nAttrs)(k => dCosine(vb(k), va(k), sim(k), dSim(k))))
+    else {
+      val diff = Linalg.sub(va(0), vb(0))
+      val dVa = Array.tabulate(diff.length) { i =>
+        dSim(i) * (if (diff(i) > 0) 1.0 else if (diff(i) < 0) -1.0 else 0.0)
+      }
+      (Array(dVa), Array(Linalg.scale(dVa, -1.0)))
     }
-    new PairFwd(fa, fb, sim)
-  }
-
-  def predictProb(ex: PairExample): Double = head.predictProb(forwardPair(ex).sim)
 
   /** Gradient of cosine(a,b) w.r.t. a, reusing precomputed norms. */
   private def dCosine(a: Array[Double], b: Array[Double], s: Double, dUp: Double): Array[Double] = {
@@ -118,69 +129,19 @@ final class DeepERNet(
     }
   }
 
-  private def accumulateEmbGrad(toks: Array[Int], dxs: Array[Array[Double]]): Unit = {
-    var i = 0
-    while (i < toks.length) {
-      val r = toks(i); val off = r * dim; var j = 0
-      while (j < dim) { dEmb.data(off + j) += dxs(i)(j); j += 1 }
-      i += 1
-    }
-  }
-
-  /** Backward of [[avgVecs]]: scatters each dV/n into the rows of its n tokens (UNK's for none). */
-  private def backwardAvgTuple(t: Array[Array[Int]], dVecs: Array[Array[Double]]): Unit = {
-    var k = 0
-    while (k < t.length) {
-      val toks = if (t(k).isEmpty) Array(unkIdx) else t(k)
-      val w = 1.0 / toks.length
-      val dv = dVecs(k)
-      toks.foreach { r =>
-        val off = r * dim; var j = 0
-        while (j < dim) { dEmb.data(off + j) += dv(j) * w; j += 1 }
-      }
-      k += 1
-    }
-  }
-
-  /** One example's backward pass; returns BCE loss. `dSim` receives the
-    * head's dL/d(similarity); it is null when nothing below the head
-    * trains (averaging over frozen embeddings).
+  /** One example's forward and backward pass; returns its BCE loss. `dSim`
+    * receives the head's dL/d(similarity); it is null when nothing below
+    * the head trains, and the stages below the head then run forward only.
     */
   private def backwardPair(ex: PairExample, g: MLPClassifier.Grads, dSim: Array[Double]): Double = {
-    val f = forwardPair(ex)
-    val loss = head.accumulate(f.sim, ex.label, g, dSim)
-    comp match {
-      case AvgComp =>
-        if (trainEmbeddings) {
-          val dA = Array.tabulate(nAttrs) { k =>
-            dCosine(f.fa.attrVecs(k), f.fb.attrVecs(k), f.sim(k), dSim(k))
-          }
-          val dB = Array.tabulate(nAttrs) { k =>
-            dCosine(f.fb.attrVecs(k), f.fa.attrVecs(k), f.sim(k), dSim(k))
-          }
-          backwardAvgTuple(ex.a, dA)
-          backwardAvgTuple(ex.b, dB)
-        }
-      case _ =>
-        val diff = Linalg.sub(f.fa.attrVecs(0), f.fb.attrVecs(0))
-        val dVa = new Array[Double](diff.length)
-        var i = 0
-        while (i < diff.length) {
-          val sgn = if (diff(i) > 0) 1.0 else if (diff(i) < 0) -1.0 else 0.0
-          dVa(i) = dSim(i) * sgn
-          i += 1
-        }
-        val dVb = Linalg.scale(dVa, -1.0)
-        def backTuple(tf: TupleFwd, dV: Array[Double]): Unit = comp match {
-          case BiLstmComp(_) =>
-            val dxs = BiLSTM.backward(biP, tf.biTr, dV, biG)
-            if (trainEmbeddings) accumulateEmbGrad(tf.flatTokens, dxs)
-          case Sent2VecComp =>
-            if (trainEmbeddings) backwardAvgTuple(Array(tf.flatTokens), Array(dV))
-          case AvgComp => ()
-        }
-        backTuple(f.fa, dVa)
-        backTuple(f.fb, dVb)
+    val (va, backA) = compose(ex.a)
+    val (vb, backB) = compose(ex.b)
+    val sim = similarity(va, vb)
+    val loss = head.accumulate(sim, ex.label, g, dSim)
+    if (dSim != null) {
+      val (dA, dB) = similarityBackward(va, vb, sim, dSim)
+      backA(dA)
+      backB(dB)
     }
     loss
   }
@@ -200,9 +161,9 @@ final class DeepERNet(
   ): Seq[Double] = {
     val opt = new Adam(lr)
     val g = head.grads(opt)
-    if (biP != null) opt.registerAll(biP.parameters, biG.gradients)
+    biLstm.foreach { case (p, pg) => opt.registerAll(p.parameters, pg.gradients) }
     if (trainEmbeddings) opt.register(emb.data, dEmb.data, embLrScale, decay = false)
-    val dSim = if (trainEmbeddings || comp != AvgComp) new Array[Double](simDim) else null
+    val dSim = if (trainEmbeddings || biLstm.isDefined) new Array[Double](simDim) else null
     MLPClassifier.train(examples.size, epochs, batchSize, opt, l2, seed)(i => backwardPair(examples(i), g, dSim))
   }
 }

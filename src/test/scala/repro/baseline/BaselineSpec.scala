@@ -1,11 +1,13 @@
 package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Tokenizer
 
 class StringSimSpec extends AnyFunSuite {
   // The set and trigram measures on the strings' token sets and trigram counts.
-  private def jaccard(a: String, b: String) = StringSim.jaccard(StringSim.tokens(a), StringSim.tokens(b))
-  private def overlap(a: String, b: String) = StringSim.overlap(StringSim.tokens(a), StringSim.tokens(b))
+  private def tokens(s: String) = Tokenizer.tokenize(s).toSet
+  private def jaccard(a: String, b: String) = StringSim.jaccard(tokens(a), tokens(b))
+  private def overlap(a: String, b: String) = StringSim.overlap(tokens(a), tokens(b))
   private def trigramCosine(a: String, b: String) = StringSim.trigramCosine(StringSim.trigrams(a), StringSim.trigrams(b))
 
   test("jaro known value (MARTHA/MARHTA)") {

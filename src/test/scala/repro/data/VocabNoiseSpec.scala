@@ -128,20 +128,20 @@ class NoiseModelSpec extends AnyFunSuite {
   test("zero noise is the identity perturbation") {
     val rng = new scala.util.Random(4)
     val toks = Vector.fill(5)(pool.drawToken(rng))
-    val out = NoiseModel.perturbAttr(toks, Noise(0, 0, 0, 0), Seq(pool), rng)
+    val out = NoiseModel.perturbAttr(toks, Noise(0, 0, 0, 0), pool, rng)
     assert(out == toks)
   }
 
   test("nullifyRate=1 empties the attribute") {
     val rng = new scala.util.Random(5)
     val toks = Vector.fill(3)(pool.drawToken(rng))
-    assert(NoiseModel.perturbAttr(toks, Noise(0, 0, 0, nullifyRate = 1.0), Seq(pool), rng).isEmpty)
+    assert(NoiseModel.perturbAttr(toks, Noise(0, 0, 0, nullifyRate = 1.0), pool, rng).isEmpty)
   }
 
   test("synonymRate=1 preserves all concepts but changes forms") {
     val rng = new scala.util.Random(6)
     val toks = Vector.fill(5)(pool.drawToken(rng))
-    val out = NoiseModel.perturbAttr(toks, Noise(synonymRate = 1.0, 0, 0, 0), Seq(pool), rng)
+    val out = NoiseModel.perturbAttr(toks, Noise(synonymRate = 1.0, 0, 0, 0), pool, rng)
     assert(out.map(_.concept) == toks.map(_.concept))
     assert(out.zip(toks).forall { case (o, t) => o.form != t.form })
   }
@@ -150,7 +150,7 @@ class NoiseModelSpec extends AnyFunSuite {
     val rng = new scala.util.Random(7)
     val toks = Vector.fill(6)(pool.drawToken(rng))
     (1 to 20).foreach { _ =>
-      val out = NoiseModel.perturbAttr(toks, Noise(0, 0, dropRate = 0.99, 0), Seq(pool), rng)
+      val out = NoiseModel.perturbAttr(toks, Noise(0, 0, dropRate = 0.99, 0), pool, rng)
       assert(out.nonEmpty)
     }
   }
@@ -158,7 +158,7 @@ class NoiseModelSpec extends AnyFunSuite {
   test("shuffleRate=1 preserves the token multiset") {
     val rng = new scala.util.Random(8)
     val toks = Vector.fill(6)(pool.drawToken(rng))
-    val out = NoiseModel.perturbAttr(toks, Noise(0, 0, 0, 0, shuffleRate = 1.0), Seq(pool), rng)
+    val out = NoiseModel.perturbAttr(toks, Noise(0, 0, 0, 0, shuffleRate = 1.0), pool, rng)
     assert(out.sortBy(_.form) == toks.sortBy(_.form))
   }
 

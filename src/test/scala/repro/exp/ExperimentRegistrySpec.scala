@@ -33,10 +33,25 @@ class ExperimentRegistrySpec extends SparkSpec {
     assert(goldenDir.toFile.list().toSeq.sorted == ExperimentRegistry.all.map(_.name + ".txt").sorted)
   }
 
-  test("table3 renders the Table 3 block of the bench output byte for byte") {
-    val e = ExperimentRegistry.table3
-    val golden = new String(Files.readAllBytes(goldenDir.resolve("table3.txt")), StandardCharsets.UTF_8)
+  /** Runs an entry's harness and compares its text with the entry's golden file. */
+  private def assertGolden[R](e: Experiment[R]): Unit = {
+    val golden = new String(Files.readAllBytes(goldenDir.resolve(e.name + ".txt")), StandardCharsets.UTF_8)
     assert(e.text(e.measure(spark)) == golden)
+  }
+
+  test("table3 renders the Table 3 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.table3)
+  }
+
+  // The Figure-5 network's numbers: Figure 8 trains averaging with frozen and
+  // tuned embeddings, Figure 9 all three compositions. Neither depends on the
+  // core count, which is why fig11 is not checked here.
+  test("fig8 renders the Figure 8 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.fig8)
+  }
+
+  test("fig9 renders the Figure 9 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.fig9)
   }
 
   test("table3's paper statistics cover exactly the six benchmark datasets") {
