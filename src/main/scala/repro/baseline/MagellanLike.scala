@@ -4,6 +4,9 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{DeepER, PRF, Tokenizer}
 import repro.data.ERDataset
 
+import scala.concurrent.Await
+import scala.concurrent.duration.Duration
+
 /** A Magellan-style end-to-end entity matcher (Konda et al. 2016): for
   * every aligned attribute it engineers a battery of classical similarity
   * features (token Jaccard, trigram cosine, Jaro-Winkler, overlap, exact,
@@ -66,7 +69,24 @@ object MagellanLike {
   }
 
   def collectProfiles(ds: ERDataset, df: org.apache.spark.sql.DataFrame): Map[Long, Profile] =
-    ds.rawValues(df).map { case (id, vals) => id -> profile(vals.toSeq) }
+    ERDataset.rawValues(df, ds.attrs).map { case (id, vals) => id -> profile(vals.toSeq) }
+
+  /** Contiguous chunks of the pairs whose [[features]] run at once, a [[DeepER.startFit]]
+    * thread each; a constant, so the work split does not depend on the machine.
+    */
+  private val FeatureChunks = 8
+
+  /** `pairs.map(p => features(profA(p.a), profB(p.b)))`, computed over [[FeatureChunks]]
+    * contiguous chunks at once and joined in order. `features` is a pure function of one pair,
+    * so the vectors are the serial ones.
+    */
+  def pairFeatures(profA: Map[Long, Profile], profB: Map[Long, Profile],
+      pairs: IndexedSeq[DeepER.LabeledPair]): IndexedSeq[Array[Double]] = {
+    val chunk = math.max(1, (pairs.length + FeatureChunks - 1) / FeatureChunks)
+    pairs.grouped(chunk).toList
+      .map(c => DeepER.startFit(c.map(p => features(profA(p.a), profB(p.b)))))
+      .flatMap(Await.result(_, Duration.Inf)).toIndexedSeq
+  }
 
   /** Run the baseline on the *same* labeled pairs and CV protocol as
     * DeepER (pairs come from [[DeepER.samplePairs]]) so Table 4 compares
@@ -81,7 +101,7 @@ object MagellanLike {
   ): Seq[PRF] = {
     val profA = collectProfiles(ds, ds.tableA)
     val profB = collectProfiles(ds, ds.tableB)
-    val feats = pairs.map(p => features(profA(p.a), profB(p.b)))
+    val feats = pairFeatures(profA, profB, pairs)
     val labels = pairs.map(_.label)
     // Each fold grows its own forest from its own RNG, so the folds train
     // at once, each on its own thread.

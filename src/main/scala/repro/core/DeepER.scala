@@ -4,8 +4,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{ERDataset, NoiseModel}
 import repro.embedding.EmbeddingDict
 import repro.nn._
+import repro.core.TupleEmbedder.Tokens
 
-import scala.concurrent.{Await, Future, Promise}
+import scala.concurrent.{Await, ExecutionContext, Future, Promise}
 import scala.concurrent.duration.Duration
 
 /** The end-to-end DeepER pipeline (Algorithm 3 + the Section 5.1 setup):
@@ -120,23 +121,31 @@ object DeepER {
     matches
   }
 
-  /** A dataset's tuple DRs and the pairs [[samplePairs]] draws from them, with the pairs'
-    * labels and similarity-vector features (computed on first use).
+  /** A dataset's tuple DRs, the tokens they were averaged from, and the pairs [[samplePairs]]
+    * draws from them, with the pairs' labels and similarity-vector features (computed on first use).
     */
-  final case class Prepared(ds: ERDataset, vecsA: Map[Long, Array[Array[Double]]],
+  final case class Prepared(ds: ERDataset, toksA: Tokens, toksB: Tokens, vecsA: Map[Long, Array[Array[Double]]],
       vecsB: Map[Long, Array[Array[Double]]], pairs: IndexedSeq[LabeledPair]) {
     lazy val labels: IndexedSeq[Double] = pairs.map(_.label)
     lazy val cosFeats: IndexedSeq[Array[Double]] = pairs.map(p => Similarity.cosineVector(vecsA(p.a), vecsB(p.b)))
   }
 
-  /** Distributed tuple embedding and the paper's negative sampling: the one preparation of
+  /** Tuple embedding on the driver and the paper's negative sampling: the one preparation of
     * the Table-4 head (`Experiments.prepare`) and of the Figure-5 network ([[prepareNet]]).
+    * Each table is collected, tokenised and averaged on a [[startFit]] thread while the caller
+    * collects the gold matches, so the three Spark jobs run at once. All three are awaited
+    * before this returns or throws, so no job outlives the call.
     */
   def embedAndSample(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, negRatio: Int, seed: Long): Prepared = {
-    val matches = goldMatches(ds)
-    val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
-    val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
-    Prepared(ds, vecsA, vecsB, samplePairs(matches, vecsA, vecsB, negRatio, seed)._1)
+    def embed(df: DataFrame) = startFit {
+      val toks = TupleEmbedder.collectTokens(df, ds.attrs)
+      (toks, TupleEmbedder.averages(toks, dict))
+    }
+    val (a, b) = (embed(ds.tableA), embed(ds.tableB))
+    val matches = try goldMatches(ds) finally Seq(a, b).foreach(Await.ready(_, Duration.Inf))
+    val (toksA, vecsA) = Await.result(a, Duration.Inf)
+    val (toksB, vecsB) = Await.result(b, Duration.Inf)
+    Prepared(ds, toksA, toksB, vecsA, vecsB, samplePairs(matches, vecsA, vecsB, negRatio, seed)._1)
   }
 
   private def applyTrainKnobs(train: Seq[Int], labels: IndexedSeq[Double], cfg: Config): (Seq[Int], IndexedSeq[Double]) = {
@@ -175,31 +184,41 @@ object DeepER {
     * decides whether the fits run at once: a `fit` that returns a started
     * `Future` trains its folds concurrently, one that returns a completed
     * one (see [[crossValidate]]) trains them one after another on the
-    * calling thread. Thresholds and scores are then computed in fold
-    * order. Each fold's arithmetic depends only on its own inputs and
-    * seed, so the result is the same either way. A failed fit is rethrown
-    * when its fold is reached.
+    * calling thread. Each fold's threshold and held-out score are computed
+    * on the thread that completes its fit (`ExecutionContext.parasitic`):
+    * a started fit's own thread, or the caller for a completed one. The
+    * PRFs are awaited in fold order. Each fold's arithmetic depends only on
+    * its own inputs and seed, so the result is the same either way. A
+    * failed fit is rethrown when its fold is reached.
     */
   def crossValidateOn[X](examples: IndexedSeq[X], labels: IndexedSeq[Double], cfg: Config)(
       fit: (IndexedSeq[X], IndexedSeq[Double], Long) => Future[X => Double]): Seq[PRF] = {
     require(examples.length == labels.length)
-    val started = Evaluation.stratifiedFolds(labels, cfg.folds, cfg.seed).zipWithIndex.map { case ((train0, test), f) =>
+    val scored = Evaluation.stratifiedFolds(labels, cfg.folds, cfg.seed).zipWithIndex.map { case ((train0, test), f) =>
       val (train, trainLabels) = applyTrainKnobs(train0, labels, cfg)
       val predictor = fit(
         train.map(examples).toIndexedSeq,
         train.map(trainLabels).toIndexedSeq,
         cfg.seed + f)
-      (train, test, predictor)
+      val prf = Promise[PRF]()
+      // Every throwable fails `prf`, as in startFit: `Future.map` leaves its
+      // result incomplete when the body throws a fatal error.
+      predictor.onComplete { r =>
+        try prf.success {
+          val predict = r.get
+          val t = bestThreshold(train.map(i => predict(examples(i))), train.map(labels))
+          Evaluation.score(test.map(i => predict(examples(i))), test.map(labels), t)
+        } catch { case e: Throwable => prf.failure(e) }
+      }(ExecutionContext.parasitic)
+      prf.future
     }
-    started.map { case (train, test, predictor) =>
-      val predict = Await.result(predictor, Duration.Inf)
-      val t = bestThreshold(train.map(i => predict(examples(i))), train.map(labels))
-      Evaluation.score(test.map(i => predict(examples(i))), test.map(labels), t)
-    }
+    scored.map(Await.result(_, Duration.Inf))
   }
 
-  /** Starts `fit` on a daemon thread of its own, for [[crossValidateOn]]
-    * callers whose fits build their own model and share no mutable state.
+  /** Starts `fit` on a daemon thread of its own: a [[crossValidateOn]] fit
+    * that builds its own model and shares no mutable state, or any other
+    * independent driver-side step, such as a table's collect and averaging
+    * in [[embedAndSample]] or a chunk of Magellan's pair features.
     * A thread per fit, not a slot in a pool of one thread per core: k folds
     * on c < k cores then time-share and finish together in about k/c fit
     * times, where a pool would run them in rounds and leave the last one
@@ -235,24 +254,21 @@ object DeepER {
     */
   final case class NetPrep(nAttrs: Int, examples: IndexedSeq[PairExample], emb: Mat, unkIdx: Int)
 
-  /** [[embedAndSample]], then both tables tokenised once on the driver. The vocabulary is
-    * every distinct token; the examples keep each attribute's first `cfg.maxTokensPerAttr`.
+  /** [[embedAndSample]], then the network's vocabulary and token indices from the tokens its
+    * DRs were averaged from, so each table is collected once. The vocabulary is every distinct
+    * token; the examples keep each attribute's first `cfg.maxTokensPerAttr`.
     */
   def prepareNet(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, cfg: Config): NetPrep = {
-    val pairs = embedAndSample(spark, ds, dict, cfg.negRatio, cfg.seed).pairs
-    val toks = tokenized(ds)
+    val p = embedAndSample(spark, ds, dict, cfg.negRatio, cfg.seed)
+    val toks = (p.toksA, p.toksB)
     val (index, emb, unkIdx) = dict.toTable(vocabulary(toks))
     val (idxA, idxB) = indices(toks, index, unkIdx, cfg.maxTokensPerAttr)
-    NetPrep(ds.attrs.size, pairs.map(p => PairExample(idxA(p.a), idxB(p.b), p.label)), emb, unkIdx)
+    NetPrep(ds.attrs.size, p.pairs.map(q => PairExample(idxA(q.a), idxB(q.b), q.label)), emb, unkIdx)
   }
-
-  private type Tokens = Map[Long, Array[Seq[String]]]
 
   /** Each table's tuples tokenised per attribute, from one collect of its raw strings. */
-  private def tokenized(ds: ERDataset): (Tokens, Tokens) = {
-    def tok(df: DataFrame) = ds.rawValues(df).map { case (id, vals) => id -> vals.map(Tokenizer.tokenize) }
-    (tok(ds.tableA), tok(ds.tableB))
-  }
+  private def tokenized(ds: ERDataset): (Tokens, Tokens) =
+    (TupleEmbedder.collectTokens(ds.tableA, ds.attrs), TupleEmbedder.collectTokens(ds.tableB, ds.attrs))
 
   private def vocabulary(t: (Tokens, Tokens)): Seq[String] =
     (t._1.valuesIterator ++ t._2.valuesIterator).flatMap(_.iterator.flatten).toSet.toSeq.sorted

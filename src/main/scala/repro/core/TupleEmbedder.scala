@@ -2,23 +2,32 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.data.ERDataset
 import repro.embedding.EmbeddingDict
 import repro.nn.Linalg
 
-/** Distributed computation of tuple DRs (Section 2.3): the embedding
-  * dictionary is broadcast once and every partition embeds its tuples
-  * locally — the `distributed_dataflow` layering of DESIGN.md §2.
+/** Tuple DRs by averaging (Algorithm 1, Section 2.3), computed where they
+  * are used. LSH blocking keeps its DRs distributed ([[withAvgVectors]]:
+  * the dictionary is broadcast once and every partition embeds its tuples
+  * locally — the `distributed_dataflow` layering of DESIGN.md §2). The
+  * classifier needs every DR on the driver, so [[collectAvgVectors]]
+  * collects the raw strings once and averages them there; both run
+  * [[avgAttr]], so they give the same doubles.
   */
 object TupleEmbedder {
+
+  /** Each tuple's tokens per attribute, by id. */
+  type Tokens = Map[Long, Array[Seq[String]]]
 
   /** Algorithm 1 per attribute: mean of the tokens' dictionary vectors;
     * empty/NULL attribute → the UNK (zero) vector.
     */
-  def avgAttr(value: String, dict: EmbeddingDict): Array[Double] = {
-    val toks = Tokenizer.tokenize(value)
+  def avgAttr(value: String, dict: EmbeddingDict): Array[Double] = avgTokens(Tokenizer.tokenize(value), dict)
+
+  /** [[avgAttr]] of an attribute already tokenised: no tokens → UNK. */
+  def avgTokens(toks: Seq[String], dict: EmbeddingDict): Array[Double] =
     if (toks.isEmpty) dict.unk
     else Linalg.mean(toks.map(dict.lookup))
-  }
 
   /** Adds to `df`:
     *  - `vecs`: array of per-attribute averaged vectors (m × d), and
@@ -34,13 +43,26 @@ object TupleEmbedder {
       .withColumn("dr", flatten(col("vecs")))
   }
 
-  /** Collect per-tuple attribute vectors to the driver (tables here are
-    * thousands of rows; the heavy per-token work still ran distributed).
+  /** Each tuple of `df` by id, tokenised per attribute of `attrs`, from one
+    * collect of its raw strings.
+    */
+  def collectTokens(df: DataFrame, attrs: Seq[String]): Tokens =
+    ERDataset.rawValues(df, attrs).map { case (id, vals) => id -> vals.map(Tokenizer.tokenize) }
+
+  /** Each tuple's per-attribute vectors ([[avgTokens]]) from its tokens. */
+  def averages(toks: Tokens, dict: EmbeddingDict): Map[Long, Array[Array[Double]]] =
+    toks.map { case (id, attrToks) => id -> attrToks.map(avgTokens(_, dict)) }
+
+  /** Per-tuple attribute vectors on the driver: one collect of the raw
+    * strings ([[collectTokens]]), then [[averages]]. Every caller needs all
+    * DRs on the driver, so an executor pass would only add a job, a
+    * dictionary broadcast and the decoding of `array<array<double>>`.
+    * `spark` is unused and kept for existing callers.
     */
   def collectAvgVectors(
       spark: SparkSession, df: DataFrame, attrs: Seq[String], dict: EmbeddingDict,
   ): Map[Long, Array[Array[Double]]] =
-    collectVecs(withAvgVectors(spark, df, attrs, dict))
+    averages(collectTokens(df, attrs), dict)
 
   /** The `id` and `vecs` columns of a [[withAvgVectors]] result as a
     * driver-side map. The rows are decoded straight into primitive arrays,

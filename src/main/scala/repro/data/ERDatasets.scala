@@ -22,9 +22,12 @@ final case class ERDataset(
   def nA: Long = tableA.count()
   def nB: Long = tableB.count()
   def nMatches: Long = matches.count()
+}
 
-  /** Each tuple of `df` (a table of this dataset) by id: its attribute strings, NULL as null. */
-  def rawValues(df: DataFrame): Map[Long, Array[String]] =
+object ERDataset {
+
+  /** Each tuple of `df` by id: the strings of its `attrs`, NULL as null, from one collect. */
+  def rawValues(df: DataFrame, attrs: Seq[String]): Map[Long, Array[String]] =
     df.select(col("id") +: attrs.map(a => col(a).cast("string")): _*).collect()
       .map(r => r.getLong(0) -> Array.tabulate(attrs.size)(i => r.getString(i + 1))).toMap
 }

@@ -143,7 +143,7 @@ class RandomForestSpec extends AnyFunSuite {
   }
 }
 
-class MagellanLikeSpec extends AnyFunSuite {
+class MagellanLikeSpec extends repro.SparkSpec {
   test("profile precomputes tokens, trigrams and numerics") {
     val p = MagellanLike.profile(Seq("Hello World", "12.5", null))
     assert(p.attrs(0).toks == Set("hello", "world"))
@@ -189,5 +189,18 @@ class MagellanLikeSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       MagellanLike.features(MagellanLike.profile(Seq("a")), MagellanLike.profile(Seq("a", "b")))
     }
+  }
+
+  test("pairFeatures, computed in chunks at once, equals the serial features on Pub-DC") {
+    val ds = repro.data.ERDatasets.pubDC(spark)
+    val pairs = repro.exp.Experiments.prepare(spark, ds, repro.exp.Dicts.gloveLike(ds.forms), negRatio = 10).pairs
+    val profA = MagellanLike.collectProfiles(ds, ds.tableA)
+    val profB = MagellanLike.collectProfiles(ds, ds.tableB)
+    def bits(fs: IndexedSeq[Array[Double]]) = fs.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq)
+    val serial = pairs.map(p => MagellanLike.features(profA(p.a), profB(p.b)))
+    assert(bits(MagellanLike.pairFeatures(profA, profB, pairs)) == bits(serial))
+    // Fewer pairs than chunks, and none.
+    assert(bits(MagellanLike.pairFeatures(profA, profB, pairs.take(3))) == bits(serial.take(3)))
+    assert(MagellanLike.pairFeatures(profA, profB, IndexedSeq.empty).isEmpty)
   }
 }

@@ -5,7 +5,7 @@ import repro.SparkSpec
 import repro.baseline.{MagellanLike, RandomForest}
 import repro.data.{ERDataset, ERDatasets}
 import repro.embedding.SyntheticGlove
-import repro.exp.Experiments
+import repro.exp.{Dicts, Experiments}
 import repro.nn.{AvgComp, BiLstmComp, MLPClassifier, PairExample, Sent2VecComp}
 
 class DeepERSpec extends SparkSpec {
@@ -70,6 +70,26 @@ class DeepERSpec extends SparkSpec {
     assert(e.getMessage.contains(s"dataset ${ds.name} has no gold matches"), e.getMessage)
   }
 
+  test("embedAndSample without gold matches fails with the dataset's name and leaves no job running") {
+    val empty = ds.copy(matches = ds.matches.limit(0))
+    val sc = spark.sparkContext
+    // The table collects run on threads started by the caller, which inherit its job group.
+    val group = "embedAndSample without gold matches"
+    sc.setJobGroup(group, group)
+    val e = try intercept[IllegalArgumentException](DeepER.embedAndSample(spark, empty, dict, negRatio = 2, seed = 7))
+      finally sc.clearJobGroup()
+    assert(e.getMessage.contains(s"dataset ${ds.name} has no gold matches"), e.getMessage)
+    // The status tracker is fed by the listener bus; drain it (through perfbench's
+    // bridge to Spark's package-private bus) before reading. The second look, a
+    // moment later, catches a collect that had not yet started when the call returned.
+    def groupJobs() = { org.apache.spark.PerfbenchBus.drain(sc); sc.statusTracker.getJobIdsForGroup(group).toSet }
+    val atReturn = groupJobs()
+    assert(atReturn.nonEmpty, "the table collects did not run before embedAndSample returned")
+    assert(sc.statusTracker.getActiveJobIds().isEmpty)
+    Thread.sleep(300)
+    assert(groupJobs() == atReturn, "a job of embedAndSample started after it returned")
+  }
+
   test("crossValidate produces one PRF per fold") {
     val feats = IndexedSeq.tabulate(200)(i => Array(if (i < 40) 0.9 else 0.1))
     val labels = IndexedSeq.tabulate(200)(i => if (i < 40) 1.0 else 0.0)
@@ -120,6 +140,40 @@ class DeepERSpec extends SparkSpec {
     val calls = Seq.newBuilder[(Thread, Long)]
     DeepER.crossValidate(tinyFeats, tinyLabels, cfg, (_, _, s) => { calls += (Thread.currentThread -> s); _ => 0.5 })
     assert(calls.result() == (0 until 5).map(f => caller -> (40L + f)))
+  }
+
+  test("crossValidateOn scores each started fold on its fit thread, and crossValidate every fold on the caller") {
+    import java.util.concurrent.CountDownLatch
+    import scala.collection.concurrent.TrieMap
+    val cfg = DeepER.Config(folds = 5, seed = 60)
+    val fitThreads = TrieMap.empty[Long, Thread]
+    val predictThreads = TrieMap.empty[(Long, Thread), Unit]
+    // The fits finish only once every fold's scoring is attached, that is, once
+    // the CV thread waits for the first PRF.
+    val release = new CountDownLatch(1)
+    var prfs: Seq[PRF] = Nil
+    val cv = new Thread(() => prfs = DeepER.crossValidateOn(tinyFeats, tinyLabels, cfg) { (_, _, s) =>
+      DeepER.startFit[Array[Double] => Double] {
+        fitThreads(s) = Thread.currentThread
+        release.await()
+        _ => { predictThreads((s, Thread.currentThread)) = (); 0.5 }
+      }
+    })
+    cv.start()
+    val deadline = System.nanoTime + 30e9.toLong
+    while (cv.getState != Thread.State.WAITING && System.nanoTime < deadline) Thread.sleep(1)
+    release.countDown()
+    cv.join(30000)
+    assert(prfs.size == 5)
+    assert(fitThreads.keySet == (0 until 5).map(60L + _).toSet)
+    assert(fitThreads.values.toSet.size == 5 && !fitThreads.values.exists(_ == cv))
+    assert(predictThreads.keySet == fitThreads.toSet)
+
+    // crossValidate's completed fits are scored on the calling thread.
+    val caller = Thread.currentThread
+    val callerPredictThreads = TrieMap.empty[Thread, Unit]
+    DeepER.crossValidate(tinyFeats, tinyLabels, cfg, (_, _, _) => _ => { callerPredictThreads(Thread.currentThread) = (); 0.5 })
+    assert(callerPredictThreads.keySet == Set(caller))
   }
 
   test("crossValidateOn starts every fold's fit before awaiting any") {
@@ -236,6 +290,16 @@ class DeepERSpec extends SparkSpec {
     }
     val (ta, _) = DeepER.collectTokenIndices(withNullTuple(ds), Map.empty, 0, maxTokensPerAttr = 3)
     assert(bySeq(ta)(Long.MaxValue) == ds.attrs.map(_ => Nil))
+  }
+
+  test("the driver-side DRs equal the distributed reference bit for bit on every dataset") {
+    def bits(m: Map[Long, Array[Array[Double]]]) =
+      m.map { case (id, vs) => id -> vs.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq }
+    for (d <- ERDatasets.all(spark) :+ withNullTuple(ds); df <- Seq(d.tableA, d.tableB)) {
+      val dd = Dicts.gloveLike(d.forms)
+      val reference = TupleEmbedder.collectVecs(TupleEmbedder.withAvgVectors(spark, df, d.attrs, dd))
+      assert(bits(TupleEmbedder.collectAvgVectors(spark, df, d.attrs, dd)) == bits(reference), d.name)
+    }
   }
 
   test("prepareNet builds the reference examples, embedding table and UNK row over the sampled pairs") {

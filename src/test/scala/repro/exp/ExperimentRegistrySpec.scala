@@ -54,6 +54,12 @@ class ExperimentRegistrySpec extends SparkSpec {
     assertGolden(ExperimentRegistry.fig9)
   }
 
+  // Table 6 runs the Table-4 preparation (driver-side DRs, the three collects
+  // at once) and fold-parallel CV of the Figure-5 head on all six datasets.
+  test("table6 renders the Table 6 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.table6)
+  }
+
   test("table3's paper statistics cover exactly the six benchmark datasets") {
     assert(ExperimentRegistry.table3Paper.keySet ==
       Set("Prod-WA", "Prod-AG", "Pub-DA", "Pub-DS", "Pub-DC", "Rest-FZ"))
