@@ -1,10 +1,7 @@
 package repro.core
 
 /** Precision / recall / F-measure, the paper's reporting metrics. */
-final case class PRF(precision: Double, recall: Double, f1: Double) {
-  /** Percent-scale F1 as reported in the paper's tables. */
-  def f1Pct: Double = f1 * 100.0
-}
+final case class PRF(precision: Double, recall: Double, f1: Double)
 
 object Evaluation {
 

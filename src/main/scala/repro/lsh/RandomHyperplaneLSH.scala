@@ -57,7 +57,7 @@ object RandomHyperplaneLSH {
   /** Candidate pairs across two relations: tuples sharing a bucket in any
     * hash table (deduplicated). `candidatesWith` gives the same set from
     * one shuffle. This form stays only because the blocked-negative
-    * training sample of `BlockingExperiments.blockedClassifier` shuffles
+    * training sample of `BlockingExperiments.blockedTrainingSet` shuffles
     * the collect order that `distinct()` produces, and perfbench times it.
     */
   def candidatePairs(spark: SparkSession, drA: DataFrame, drB: DataFrame, m: LSHModel): DataFrame = {

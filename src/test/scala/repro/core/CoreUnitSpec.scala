@@ -76,9 +76,6 @@ class EvaluationSpec extends AnyFunSuite {
   test("perfect classifier scores F1 = 1") {
     assert(Evaluation.score(Seq(0.99, 0.01), Seq(1.0, 0.0)).f1 == 1.0)
   }
-  test("f1Pct is percent scale") {
-    assert(math.abs(PRF(1, 1, 0.876).f1Pct - 87.6) < 1e-9)
-  }
   test("stratifiedFolds partitions all indices exactly once across test folds") {
     val labels = IndexedSeq.tabulate(100)(i => if (i < 20) 1.0 else 0.0)
     val folds = Evaluation.stratifiedFolds(labels, 5, seed = 1)

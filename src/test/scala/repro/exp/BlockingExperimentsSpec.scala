@@ -16,9 +16,11 @@ class BlockingExperimentsSpec extends SparkSpec {
     val rows = BlockingExperiments.endToEnd(spark, p, configs, cfg, maxTrainNeg = 2000)
 
     // The scoring formula as a chain of joins: deduplicated candidates,
-    // one join per side for the vectors, one join against the gold table.
-    val (mlp, threshold) =
-      BlockingExperiments.blockedClassifier(spark, p, DeepER.goldMatches(ds), cfg, maxTrainNeg = 2000)
+    // one join per side for the vectors, one join against the gold table,
+    // with the head fitted on the same training set.
+    val (feats, labels) =
+      BlockingExperiments.blockedTrainingSet(spark, p, DeepER.goldMatches(ds), maxTrainNeg = 2000, cfg.seed)
+    val (mlp, threshold) = BlockingExperiments.fitHead(p, feats, labels, cfg)
     val bMlp = spark.sparkContext.broadcast(mlp)
     val score = udf { (va: Seq[Seq[Double]], vb: Seq[Seq[Double]]) =>
       bMlp.value.predictProb(Similarity.cosineVector(va.map(_.toArray).toArray, vb.map(_.toArray).toArray))
@@ -49,6 +51,51 @@ class BlockingExperimentsSpec extends SparkSpec {
     val p = BlockingExperiments.prepareBlocks(spark, ERDatasets.restFZ(spark))
     val rows = BlockingExperiments.endToEnd(spark, p, Seq((4, 10)), DeepER.Config(folds = 1, epochs = 3), maxTrainNeg = 2000)
     assert(rows == Seq((4, 10, 0.9322033898305084, 1.0)))
+    p.drA.unpersist(); p.drB.unpersist()
+  }
+
+  test("prepareBlocks starts no Spark job: the DR caches fill on first read") {
+    val ds = ERDatasets.restFZ(spark)
+    val sc = spark.sparkContext
+    val group = "prepareBlocks"
+    sc.setJobGroup(group, group)
+    val p = try BlockingExperiments.prepareBlocks(spark, ds) finally sc.clearJobGroup()
+    org.apache.spark.PerfbenchBus.drain(sc)
+    assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty)
+    p.drA.unpersist(); p.drB.unpersist()
+  }
+
+  test("endToEnd leaves only the two DR caches behind: every similarity cache is dropped") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val p = BlockingExperiments.prepareBlocks(spark, ERDatasets.restFZ(spark))
+    BlockingExperiments.endToEnd(spark, p, Seq((4, 3), (10, 2)), DeepER.Config(folds = 1, epochs = 1), maxTrainNeg = 500)
+    assert(sc.getPersistentRDDs.keySet.diff(before).size == 2)
+    p.drA.unpersist(); p.drB.unpersist()
+    assert(sc.getPersistentRDDs.keySet == before)
+  }
+
+  test("endToEnd without gold matches fails with the dataset's name and leaves no job running") {
+    val ds = ERDatasets.restFZ(spark)
+    // A filter Spark cannot fold away, so the gold collect runs a job.
+    val p = BlockingExperiments.prepareBlocks(spark, ds.copy(matches = ds.matches.where(col("idA") < 0)))
+    val sc = spark.sparkContext
+    // Threads started by endToEnd would inherit the caller's job group.
+    val group = "endToEnd without gold matches"
+    sc.setJobGroup(group, group)
+    val e = try intercept[IllegalArgumentException](
+      BlockingExperiments.endToEnd(spark, p, Seq((4, 10)), DeepER.Config(folds = 1, epochs = 1), maxTrainNeg = 500))
+      finally sc.clearJobGroup()
+    assert(e.getMessage.contains(s"dataset ${ds.name} has no gold matches"), e.getMessage)
+    // Drain the listener bus (through perfbench's bridge to Spark's
+    // package-private bus) before reading the status tracker; the second
+    // look, a moment later, catches a job that had not yet started.
+    def groupJobs() = { org.apache.spark.PerfbenchBus.drain(sc); sc.statusTracker.getJobIdsForGroup(group).toSet }
+    val atReturn = groupJobs()
+    assert(atReturn.nonEmpty, "the gold collect did not run before endToEnd returned")
+    assert(sc.statusTracker.getActiveJobIds().isEmpty)
+    Thread.sleep(300)
+    assert(groupJobs() == atReturn, "a job of endToEnd started after it returned")
     p.drA.unpersist(); p.drB.unpersist()
   }
 

@@ -45,7 +45,8 @@ class ExperimentRegistrySpec extends SparkSpec {
 
   // The Figure-5 network's numbers: Figure 8 trains averaging with frozen and
   // tuned embeddings, Figure 9 all three compositions. Neither depends on the
-  // core count, which is why fig11 is not checked here.
+  // core count. fig11 does (its blocked-negative sample follows the collect
+  // order of a `distinct()`), which is why it is not checked here.
   test("fig8 renders the Figure 8 block of the bench output byte for byte") {
     assertGolden(ExperimentRegistry.fig8)
   }
@@ -58,6 +59,16 @@ class ExperimentRegistrySpec extends SparkSpec {
   // at once) and fold-parallel CV of the Figure-5 head on all six datasets.
   test("table6 renders the Table 6 block of the bench output byte for byte") {
     assertGolden(ExperimentRegistry.table6)
+  }
+
+  // Figures 10 and 12 run `sweep` and `multiProbe` on `prepareBlocks`'
+  // lazily filled DR caches; neither depends on the core count.
+  test("fig10 renders the Figure 10 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.fig10)
+  }
+
+  test("fig12 renders the Figure 12 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.fig12)
   }
 
   test("table3's paper statistics cover exactly the six benchmark datasets") {
