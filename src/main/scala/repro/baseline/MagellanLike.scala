@@ -1,8 +1,8 @@
 package repro.baseline
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{DeepER, PRF, Tokenizer}
-import repro.data.ERDataset
+import repro.core.DeepER.Prepared
+import repro.core.TupleEmbedder.Tokens
 
 import scala.concurrent.Await
 import scala.concurrent.duration.Duration
@@ -35,16 +35,23 @@ object MagellanLike {
   /** Characters of a value that Jaro-Winkler compares. */
   private val CapLen = 40
 
-  def profile(values: Seq[String]): Profile =
-    Profile(values.map { v =>
+  def profile(values: Seq[String]): Profile = profile(values, values.map(Tokenizer.tokenize))
+
+  /** A tuple's profile from its raw values and each value's tokens ([[Tokenizer.tokenize]]). */
+  def profile(values: Seq[String], toks: Seq[Seq[String]]): Profile =
+    Profile(values.zip(toks).map { case (v, t) =>
       AttrProfile(
         raw = v,
         capped = if (v == null) null else v.take(CapLen),
-        toks = Tokenizer.tokenize(v).toSet,
+        toks = t.toSet,
         trigrams = StringSim.trigrams(if (v == null) null else v.take(120)),
         numeric = StringSim.parseNumber(v),
       )
     }.toArray)
+
+  /** Each tuple's profile, by id, from the raw strings and tokens a preparation already holds. */
+  def profiles(raw: Map[Long, Array[String]], toks: Tokens): Map[Long, Profile] =
+    raw.map { case (id, vals) => id -> profile(vals.toSeq, toks(id).toSeq) }
 
   /** Pair feature vector: `featuresPerAttr` similarities per attribute. */
   def features(pa: Profile, pb: Profile): Array[Double] = {
@@ -68,9 +75,6 @@ object MagellanLike {
     out
   }
 
-  def collectProfiles(ds: ERDataset, df: org.apache.spark.sql.DataFrame): Map[Long, Profile] =
-    ERDataset.rawValues(df, ds.attrs).map { case (id, vals) => id -> profile(vals.toSeq) }
-
   /** Contiguous chunks of the pairs whose [[features]] run at once, a [[DeepER.startFit]]
     * thread each; a constant, so the work split does not depend on the machine.
     */
@@ -90,19 +94,13 @@ object MagellanLike {
 
   /** Run the baseline on the *same* labeled pairs and CV protocol as
     * DeepER (pairs come from [[DeepER.samplePairs]]) so Table 4 compares
-    * classifiers, not protocols. Returns per-fold PRF.
+    * classifiers, not protocols. The profiles are built from the strings and
+    * tokens of the preparation, so no table is read again. Returns per-fold
+    * PRF.
     */
-  def run(
-      spark: SparkSession,
-      ds: ERDataset,
-      pairs: IndexedSeq[DeepER.LabeledPair],
-      cfg: DeepER.Config,
-      nTrees: Int = 20,
-  ): Seq[PRF] = {
-    val profA = collectProfiles(ds, ds.tableA)
-    val profB = collectProfiles(ds, ds.tableB)
-    val feats = pairFeatures(profA, profB, pairs)
-    val labels = pairs.map(_.label)
+  def run(p: Prepared, cfg: DeepER.Config, nTrees: Int = 20): Seq[PRF] = {
+    val feats = pairFeatures(profiles(p.rawA, p.toksA), profiles(p.rawB, p.toksB), p.pairs)
+    val labels = p.labels
     // Each fold grows its own forest from its own RNG, so the folds train
     // at once, each on its own thread.
     DeepER.crossValidateOn(feats, labels, cfg) { (xs, ys, s) =>

@@ -121,10 +121,12 @@ object DeepER {
     matches
   }
 
-  /** A dataset's tuple DRs, the tokens they were averaged from, and the pairs [[samplePairs]]
-    * draws from them, with the pairs' labels and similarity-vector features (computed on first use).
+  /** A dataset's raw attribute strings, the tokens and tuple DRs built from them, and the pairs
+    * [[samplePairs]] draws from the DRs, with the pairs' labels and similarity-vector features
+    * (computed on first use). Magellan's profiles are built from the same strings and tokens.
     */
-  final case class Prepared(ds: ERDataset, toksA: Tokens, toksB: Tokens, vecsA: Map[Long, Array[Array[Double]]],
+  final case class Prepared(ds: ERDataset, rawA: Map[Long, Array[String]], rawB: Map[Long, Array[String]],
+      toksA: Tokens, toksB: Tokens, vecsA: Map[Long, Array[Array[Double]]],
       vecsB: Map[Long, Array[Array[Double]]], pairs: IndexedSeq[LabeledPair]) {
     lazy val labels: IndexedSeq[Double] = pairs.map(_.label)
     lazy val cosFeats: IndexedSeq[Array[Double]] = pairs.map(p => Similarity.cosineVector(vecsA(p.a), vecsB(p.b)))
@@ -132,20 +134,22 @@ object DeepER {
 
   /** Tuple embedding on the driver and the paper's negative sampling: the one preparation of
     * the Table-4 head (`Experiments.prepare`) and of the Figure-5 network ([[prepareNet]]).
-    * Each table is collected, tokenised and averaged on a [[startFit]] thread while the caller
-    * collects the gold matches, so the three Spark jobs run at once. All three are awaited
-    * before this returns or throws, so no job outlives the call.
+    * Each table's raw strings are collected, tokenised and averaged on a [[startFit]] thread
+    * while the caller collects the gold matches, so the three Spark jobs run at once. The
+    * strings and tokens are kept, so Magellan's profiles need no second read of the tables.
+    * All three are awaited before this returns or throws, so no job outlives the call.
     */
   def embedAndSample(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, negRatio: Int, seed: Long): Prepared = {
     def embed(df: DataFrame) = startFit {
-      val toks = TupleEmbedder.collectTokens(df, ds.attrs)
-      (toks, TupleEmbedder.averages(toks, dict))
+      val raw = ERDataset.rawValues(df, ds.attrs)
+      val toks = TupleEmbedder.tokens(raw)
+      (raw, toks, TupleEmbedder.averages(toks, dict))
     }
     val (a, b) = (embed(ds.tableA), embed(ds.tableB))
     val matches = try goldMatches(ds) finally Seq(a, b).foreach(Await.ready(_, Duration.Inf))
-    val (toksA, vecsA) = Await.result(a, Duration.Inf)
-    val (toksB, vecsB) = Await.result(b, Duration.Inf)
-    Prepared(ds, toksA, toksB, vecsA, vecsB, samplePairs(matches, vecsA, vecsB, negRatio, seed)._1)
+    val (rawA, toksA, vecsA) = Await.result(a, Duration.Inf)
+    val (rawB, toksB, vecsB) = Await.result(b, Duration.Inf)
+    Prepared(ds, rawA, rawB, toksA, toksB, vecsA, vecsB, samplePairs(matches, vecsA, vecsB, negRatio, seed)._1)
   }
 
   private def applyTrainKnobs(train: Seq[Int], labels: IndexedSeq[Double], cfg: Config): (Seq[Int], IndexedSeq[Double]) = {

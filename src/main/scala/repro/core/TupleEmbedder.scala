@@ -46,8 +46,10 @@ object TupleEmbedder {
   /** Each tuple of `df` by id, tokenised per attribute of `attrs`, from one
     * collect of its raw strings.
     */
-  def collectTokens(df: DataFrame, attrs: Seq[String]): Tokens =
-    ERDataset.rawValues(df, attrs).map { case (id, vals) => id -> vals.map(Tokenizer.tokenize) }
+  def collectTokens(df: DataFrame, attrs: Seq[String]): Tokens = tokens(ERDataset.rawValues(df, attrs))
+
+  /** Each tuple's raw attribute strings ([[ERDataset.rawValues]]), tokenised. */
+  def tokens(raw: Map[Long, Array[String]]): Tokens = raw.map { case (id, vals) => id -> vals.map(Tokenizer.tokenize) }
 
   /** Each tuple's per-attribute vectors ([[avgTokens]]) from its tokens. */
   def averages(toks: Tokens, dict: EmbeddingDict): Map[Long, Array[Array[Double]]] =

@@ -1,9 +1,13 @@
 package repro.exp
 
-import scala.concurrent.Await
+import java.util.concurrent.CancellationException
+
+import scala.collection.mutable
+import scala.concurrent.{Await, Promise}
 import scala.concurrent.duration.Duration
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 import repro.core._
 import repro.data.ERDataset
@@ -62,15 +66,25 @@ object BlockingExperiments {
     * (Figure 11).
     *
     * The gold matches are collected first, so a dataset without them fails
-    * before any other job starts. Once the training set is built, each
-    * (K, L) config's similarity layer starts on a [[DeepER.startFit]]
-    * thread: its bucket join carries both tuples' per-attribute vectors, and
-    * their cosines ([[Similarity.cosineVector]]) are cached in one partition
-    * as `sim`. Meanwhile the caller fits the head and picks its threshold.
-    * Each config is then one narrow job that applies the broadcast head to
-    * its cached `sim` rows and collects the predicted pairs, which are
-    * checked against the gold set on the driver. Every similarity job is
-    * awaited, and its cache dropped, before this returns or throws.
+    * before any other job starts. Then each (K, L) config gets a
+    * [[DeepER.startFit]] thread. While the caller builds the training set,
+    * the thread builds, caches and plans its similarity layer: the bucket
+    * join carries both tuples' per-attribute vectors, and their cosines
+    * ([[Similarity.cosineVector]]) are cached in one partition as `sim`.
+    * It then waits on a gate. The caller opens the gate once
+    * [[blockedTrainingSet]] returns, so no similarity job runs during the
+    * blocked-negative collect: such a job would hold its sort pages beside
+    * that collect's and raise the heap peak. After the gate, each thread
+    * fills its cache while the caller fits the head and picks its
+    * threshold. It then waits for the head, applies it, broadcast, to its
+    * cached `sim` rows in one narrow job, and checks the predicted pairs
+    * against the gold set on the driver. So each config is scored as soon
+    * as its own cache is full, and the rows come back in config order.
+    *
+    * If the training set or the head fails, the caller fails the gate or
+    * the head, and each thread drops its cache without starting another
+    * job. Every thread is awaited, and its cache dropped, before this
+    * returns or throws.
     */
   def endToEnd(
       spark: SparkSession,
@@ -81,36 +95,44 @@ object BlockingExperiments {
   ): Seq[(Int, Int, Double, Double)] = {
     val matches = DeepER.goldMatches(p.ds)
     val gold = matches.toSet
-    val (feats, labels) = blockedTrainingSet(spark, p, matches, maxTrainNeg, cfg.seed)
+    val collected = Promise[Unit]()
+    val head = Promise[(UserDefinedFunction, Double)]()
     val cosines = udf { (va: Array[Array[Double]], vb: Array[Array[Double]]) => Similarity.cosineVector(va, vb) }
-    val sims = configs.map { case (k, l) =>
+    val rows = configs.map { case (k, l) =>
       DeepER.startFit {
+        spark.sparkContext.setJobDescription(s"$SimilarityJobs ($k, $l)")
         val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
         val sim = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq("vecs"), mp = 0)
           .select(col("idA"), col("idB"), cosines(col("vecsA"), col("vecsB")).as("sim"))
           .coalesce(SimilarityPartitions).cache()
-        try { sim.count(); sim } catch { case e: Throwable => sim.unpersist(); throw e }
+        try {
+          sim.queryExecution.executedPlan // planned while the caller collects
+          Await.result(collected.future, Duration.Inf)
+          sim.count()
+          val (score, threshold) = Await.result(head.future, Duration.Inf)
+          val predicted = sim.where(score(col("sim")) >= threshold).select("idA", "idB").collect()
+          val tp = predicted.count(r => gold((r.getLong(0), r.getLong(1))))
+          val prec = if (predicted.isEmpty) 0.0 else tp.toDouble / predicted.length
+          (k, l, prec, tp.toDouble / matches.size)
+        } finally sim.unpersist()
       }
     }
     try {
+      val (feats, labels) = blockedTrainingSet(spark, p, matches, maxTrainNeg, cfg.seed)
+      collected.success(())
       val (mlp, threshold) = fitHead(p, feats, labels, cfg)
       val bMlp = spark.sparkContext.broadcast(mlp)
-      val score = udf { (sim: Array[Double]) => bMlp.value.predictProb(sim) }
-      configs.zip(sims).map { case ((k, l), sim) =>
-        val predicted = Await.result(sim, Duration.Inf)
-          .where(score(col("sim")) >= threshold)
-          .select("idA", "idB")
-          .collect()
-        val tp = predicted.count(r => gold((r.getLong(0), r.getLong(1))))
-        val prec = if (predicted.isEmpty) 0.0 else tp.toDouble / predicted.length
-        val rec = tp.toDouble / matches.size
-        (k, l, prec, rec)
-      }
+      head.success((udf { (sim: Array[Double]) => bMlp.value.predictProb(sim) }, threshold))
+      rows.map(Await.result(_, Duration.Inf))
     } finally {
-      sims.foreach(Await.ready(_, Duration.Inf))
-      sims.foreach(_.value.foreach(_.foreach(_.unpersist())))
+      val failed = new CancellationException("endToEnd failed before scoring; its similarity threads stop")
+      Seq(collected, head).foreach(_.tryFailure(failed))
+      rows.foreach(Await.ready(_, Duration.Inf))
     }
   }
+
+  /** The job description of `endToEnd`'s similarity and scoring jobs, followed by their (K, L). */
+  private[exp] val SimilarityJobs = "endToEnd similarity"
 
   /** Partitions of each cached similarity frame in `endToEnd`. A cached
     * plan keeps all its shuffle partitions, because adaptive execution does
@@ -132,9 +154,18 @@ object BlockingExperiments {
     * shuffles `candidatePairs`' collect order with `seed`, so it must stay
     * on that `distinct()` plan to keep the recorded results.
     *
+    * The candidates are decoded on the executors into packed id arrays
+    * ([[packedPairs]]), in collect order. The gold pairs are removed by a
+    * search of the sorted gold ids, and [[MLPClassifier.shuffledIndices]]
+    * draws the order with the `nextInt` calls of `Random(seed).shuffle`.
+    * So the sample is that of `collect()`, `filterNot(gold)`, `shuffle`
+    * and `take(maxTrainNeg)`, without a tuple or a boxed `Long` per
+    * candidate.
+    *
     * Both tables' vectors are collected on [[DeepER.startFit]] threads while
     * the caller collects the candidates, so the three jobs run at once; both
-    * threads are awaited before this returns or throws.
+    * threads are awaited before this returns or throws. `endToEnd` starts
+    * no similarity job until this returns.
     */
   private[exp] def blockedTrainingSet(
       spark: SparkSession,
@@ -143,16 +174,57 @@ object BlockingExperiments {
       maxTrainNeg: Int,
       seed: Long,
   ): (IndexedSeq[Array[Double]], IndexedSeq[Double]) = {
-    import spark.implicits._
+    require(maxTrainNeg >= 0, s"blockedTrainingSet: maxTrainNeg must be at least 0, got $maxTrainNeg")
     val (a, b) = (DeepER.startFit(TupleEmbedder.collectVecs(p.drA)), DeepER.startFit(TupleEmbedder.collectVecs(p.drB)))
     val trainCands = RandomHyperplaneLSH.candidatePairs(
       spark, p.drA, p.drB, RandomHyperplaneLSH.model(p.dim, 4, 10, seed = 31))
-    val cands = try trainCands.as[(Long, Long)].collect() finally Seq(a, b).foreach(Await.ready(_, Duration.Inf))
+    val ids = try packedPairs(trainCands) finally Seq(a, b).foreach(Await.ready(_, Duration.Inf))
     val (vecsA, vecsB) = (Await.result(a, Duration.Inf), Await.result(b, Duration.Inf))
-    val gold = matches.toSet
-    val negSample = new scala.util.Random(seed).shuffle(cands.filterNot(gold).toIndexedSeq).take(maxTrainNeg)
-    val pairs = matches.map((_, 1.0)) ++ negSample.map((_, 0.0))
-    (pairs.map { case ((idA, idB), _) => Similarity.cosineVector(vecsA(idA), vecsB(idB)) }, pairs.map(_._2))
+    val negs = nonGold(ids, matches)
+    val order = new Array[Int](negs.length)
+    MLPClassifier.shuffledIndices(new scala.util.Random(seed), order)
+    val nNeg = math.min(maxTrainNeg, negs.length)
+    val negFeats = IndexedSeq.tabulate(nNeg) { j =>
+      val i = negs(order(j))
+      Similarity.cosineVector(vecsA(ids(2 * i)), vecsB(ids(2 * i + 1)))
+    }
+    (matches.map { case (idA, idB) => Similarity.cosineVector(vecsA(idA), vecsB(idB)) } ++ negFeats,
+      IndexedSeq.fill(matches.size)(1.0) ++ IndexedSeq.fill(nNeg)(0.0))
+  }
+
+  /** The (idA, idB) rows of `pairs` as one array, idA, idB, idA, idB, …, in
+    * `collect()`'s order. Each partition's rows are decoded on the executors
+    * into one packed array, and the arrays are joined in partition order.
+    */
+  private def packedPairs(pairs: DataFrame): Array[Long] =
+    Array.concat(pairs.queryExecution.toRdd.mapPartitions { rows =>
+      val ids = new mutable.ArrayBuilder.ofLong
+      rows.foreach { r => ids += r.getLong(0); ids += r.getLong(1) }
+      Iterator.single(ids.result())
+    }.collect().toIndexedSeq: _*)
+
+  /** The indices i, in order, of the packed pairs (`ids(2i)`, `ids(2i + 1)`)
+    * that are not gold matches; each is looked up in the gold ids, sorted.
+    */
+  private def nonGold(ids: Array[Long], matches: IndexedSeq[(Long, Long)]): Array[Int] = {
+    val sorted = matches.sorted
+    val (goldA, goldB) = (sorted.map(_._1).toArray, sorted.map(_._2).toArray)
+    val keep = new mutable.ArrayBuilder.ofInt
+    var i = 0
+    while (2 * i < ids.length) {
+      val a = ids(2 * i)
+      val b = ids(2 * i + 1)
+      // The first gold pair at or after (a, b) in (idA, idB) order.
+      var lo = 0
+      var hi = goldA.length
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        if (goldA(mid) < a || goldA(mid) == a && goldB(mid) < b) lo = mid + 1 else hi = mid
+      }
+      if (lo == goldA.length || goldA(lo) != a || goldB(lo) != b) keep += i
+      i += 1
+    }
+    keep.result()
   }
 
   /** `endToEnd`'s Figure-5 head, fitted on the whole training set, and the

@@ -75,7 +75,7 @@ object ExperimentRegistry {
       val p = prepare(spark, ds, Dicts.gloveLike(ds.forms), cfg.negRatio, cfg.seed)
       val dF1 = deeperF1(p, cfg)
       val (f1s, published) = paper(ds.name)
-      ds.name +: (Seq(magellanF1(spark, p, cfg), dF1) ++ f1s).map(fmtPct) :+ published
+      ds.name +: (Seq(magellanF1(p, cfg), dF1) ++ f1s).map(fmtPct) :+ published
     })("dataset", "Magellan", "DeepER", "Magellan(paper)", "DeepER(paper)", "published")
   }
 
@@ -237,7 +237,7 @@ object ExperimentRegistry {
     val p = prepare(spark, ds, GloveTrainer.fit(counts, dim = 32, epochs = 25, seed = 5),
       ablationCfg.negRatio, ablationCfg.seed)
     val dF1 = deeperF1(p, ablationCfg)
-    Seq(dF1, magellanF1(spark, p, ablationCfg))
+    Seq(dF1, magellanF1(p, ablationCfg))
   }
 
   val all: Seq[Experiment[_]] =

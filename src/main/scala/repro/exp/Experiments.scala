@@ -47,8 +47,7 @@ object Experiments {
   def deeperF1(p: Prepared, cfg: DeepER.Config): Double = DeepER.meanF1(deeperFolds(p, cfg))
 
   /** Magellan-like baseline F1 (%) on the *same* pairs and folds. */
-  def magellanF1(spark: SparkSession, p: Prepared, cfg: DeepER.Config): Double =
-    DeepER.meanF1(MagellanLike.run(spark, p.ds, p.pairs, cfg))
+  def magellanF1(p: Prepared, cfg: DeepER.Config): Double = DeepER.meanF1(MagellanLike.run(p, cfg))
 
   /** The training config of Tables 5–7, Figures 6–7 and the nucleotide run. */
   val ablationCfg: DeepER.Config = DeepER.Config(negRatio = 4, folds = 3, epochs = 15)

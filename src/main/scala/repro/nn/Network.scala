@@ -324,9 +324,12 @@ object MLPClassifier {
 
   /** Fills `order` with a permutation of 0 until order.length, drawn with
     * exactly the `nextInt` calls of `rng.shuffle(0 until order.length)`
-    * (Fisher–Yates from the top), so it yields the same permutation.
+    * (Fisher–Yates from the top), so it yields the same permutation. So
+    * `xs(order(j))` is `rng.shuffle(xs)(j)`, without a boxed element: the
+    * epoch order of [[train]] and Figure 11's blocked-negative sample
+    * (`BlockingExperiments.blockedTrainingSet`) are both drawn this way.
     */
-  private[nn] def shuffledIndices(rng: scala.util.Random, order: Array[Int]): Unit = {
+  private[repro] def shuffledIndices(rng: scala.util.Random, order: Array[Int]): Unit = {
     var i = 0
     while (i < order.length) { order(i) = i; i += 1 }
     var m = order.length

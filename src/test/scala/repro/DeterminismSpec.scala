@@ -11,12 +11,12 @@ import repro.lsh.{MultiProbeLSH, RandomHyperplaneLSH}
   * must give bit-equal outputs at 1 and at 64 shuffle partitions, with its
   * input tables at their generated partitions and coalesced to one.
   *
-  * Figure 11's blocked classifier (`BlockingExperiments.blockedClassifier`)
-  * is left out: its negative sample is a seeded shuffle of the collect
-  * order of `candidatePairs`' `distinct()`, which follows the hash
-  * partitions. Sorting the pairs first changes the recorded Figure 11
-  * values and the resolve-lsh benchmark's reference F1, so that fix goes
-  * with a re-recording of the benchmark.
+  * Figure 11's training set (`BlockingExperiments.blockedTrainingSet`) is
+  * left out: its negative sample is a seeded shuffle of the collect order
+  * of `candidatePairs`' `distinct()`, which follows the hash partitions.
+  * Sorting the pairs first changes the recorded Figure 11 values and the
+  * resolve-lsh benchmark's reference F1, so that fix goes with a
+  * re-recording of the benchmark.
   */
 class DeterminismSpec extends SparkSpec {
 

@@ -191,11 +191,23 @@ class MagellanLikeSpec extends repro.SparkSpec {
     }
   }
 
+  test("profiles from a preparation's strings and tokens equal profiles of a fresh read of each table") {
+    val ds = repro.data.ERDatasets.restFZ(spark)
+    val p = repro.exp.Experiments.prepare(spark, ds, repro.exp.Dicts.gloveLike(ds.forms), negRatio = 2)
+    for ((raw, toks, df) <- Seq((p.rawA, p.toksA, ds.tableA), (p.rawB, p.toksB, ds.tableB))) {
+      val fresh = repro.data.ERDataset.rawValues(df, ds.attrs).map { case (id, vals) => id -> MagellanLike.profile(vals.toSeq) }
+      val prepared = MagellanLike.profiles(raw, toks)
+      assert(prepared.keySet == fresh.keySet)
+      assert(prepared.forall { case (id, prof) => prof.attrs.toSeq == fresh(id).attrs.toSeq })
+    }
+  }
+
   test("pairFeatures, computed in chunks at once, equals the serial features on Pub-DC") {
     val ds = repro.data.ERDatasets.pubDC(spark)
-    val pairs = repro.exp.Experiments.prepare(spark, ds, repro.exp.Dicts.gloveLike(ds.forms), negRatio = 10).pairs
-    val profA = MagellanLike.collectProfiles(ds, ds.tableA)
-    val profB = MagellanLike.collectProfiles(ds, ds.tableB)
+    val p = repro.exp.Experiments.prepare(spark, ds, repro.exp.Dicts.gloveLike(ds.forms), negRatio = 10)
+    val pairs = p.pairs
+    val profA = MagellanLike.profiles(p.rawA, p.toksA)
+    val profB = MagellanLike.profiles(p.rawB, p.toksB)
     def bits(fs: IndexedSeq[Array[Double]]) = fs.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq)
     val serial = pairs.map(p => MagellanLike.features(profA(p.a), profB(p.b)))
     assert(bits(MagellanLike.pairFeatures(profA, profB, pairs)) == bits(serial))

@@ -125,12 +125,14 @@ class DeepERSpec extends SparkSpec {
       val p = Experiments.prepare(spark, ds, dict, cfg.negRatio, cfg.seed)
       assert(Experiments.deeperFolds(p, cfg) == DeepER.crossValidate(p.cosFeats, p.labels, cfg, mlpFit(cfg)))
 
-      val profA = MagellanLike.collectProfiles(ds, ds.tableA)
-      val profB = MagellanLike.collectProfiles(ds, ds.tableB)
+      // The serial reference reads each table again and builds every profile from its strings.
+      def collectProfiles(df: org.apache.spark.sql.DataFrame) =
+        ERDataset.rawValues(df, ds.attrs).map { case (id, vals) => id -> MagellanLike.profile(vals.toSeq) }
+      val (profA, profB) = (collectProfiles(ds.tableA), collectProfiles(ds.tableB))
       val feats = p.pairs.map(q => MagellanLike.features(profA(q.a), profB(q.b)))
       val forestFit = (xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Double], s: Long) =>
         RandomForest.fit(xs, ys, nTrees = 5, seed = s).predictProb _
-      assert(MagellanLike.run(spark, ds, p.pairs, cfg, nTrees = 5) == DeepER.crossValidate(feats, p.labels, cfg, forestFit))
+      assert(MagellanLike.run(p, cfg, nTrees = 5) == DeepER.crossValidate(feats, p.labels, cfg, forestFit))
     }
   }
 

@@ -1,12 +1,24 @@
 package repro.exp
 
+import scala.collection.mutable
+import scala.util.Try
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.{DeepER, Similarity}
+import repro.core.{DeepER, Similarity, TupleEmbedder}
 import repro.data.ERDatasets
 import repro.lsh.RandomHyperplaneLSH
 
+object BlockingExperimentsSpec {
+  /** One start or end of a Spark job, and whether the job is one of
+    * `endToEnd`'s similarity or scoring jobs (by its description).
+    */
+  final case class JobEvent(jobId: Int, started: Boolean, similarity: Boolean)
+}
+
 class BlockingExperimentsSpec extends SparkSpec {
+  import BlockingExperimentsSpec.JobEvent
 
   test("endToEnd precision/recall equal the candidatePairs + vecs joins + matches join formula") {
     val ds = ERDatasets.restFZ(spark)
@@ -67,12 +79,111 @@ class BlockingExperimentsSpec extends SparkSpec {
 
   test("endToEnd leaves only the two DR caches behind: every similarity cache is dropped") {
     val sc = spark.sparkContext
-    val before = sc.getPersistentRDDs.keySet
+    // Marked caches, filled or not, and the RDDs of the filled ones.
+    def cacheEntries = org.apache.spark.sql.CachedEntries(spark)
+    val (before, entriesBefore) = (sc.getPersistentRDDs.keySet, cacheEntries)
     val p = BlockingExperiments.prepareBlocks(spark, ERDatasets.restFZ(spark))
-    BlockingExperiments.endToEnd(spark, p, Seq((4, 3), (10, 2)), DeepER.Config(folds = 1, epochs = 1), maxTrainNeg = 500)
-    assert(sc.getPersistentRDDs.keySet.diff(before).size == 2)
+    val cfg = DeepER.Config(folds = 1, epochs = 1)
+    BlockingExperiments.endToEnd(spark, p, Seq((4, 3), (10, 2)), cfg, maxTrainNeg = 500)
+    val filled = sc.getPersistentRDDs.keySet
+    assert(filled.diff(before).size == 2)
+    assert(cacheEntries == entriesBefore + 2)
+
+    // A negative sample size fails in blockedTrainingSet, after the
+    // similarity threads have cached and planned their queries: they start
+    // no job and drop their caches.
+    val (result, events) = jobEvents("endToEnd with maxTrainNeg < 0")(
+      BlockingExperiments.endToEnd(spark, p, Seq((4, 3), (10, 2)), cfg, maxTrainNeg = -1))
+    val e = intercept[IllegalArgumentException](result.get)
+    assert(e.getMessage.contains("maxTrainNeg must be at least 0, got -1"), e.getMessage)
+    assert(events.nonEmpty, "the gold collect did not run")
+    assert(!events.exists(_.similarity), events)
+    assert(sc.statusTracker.getActiveJobIds().isEmpty)
+    assert(sc.getPersistentRDDs.keySet == filled)
+    assert(cacheEntries == entriesBefore + 2)
+
     p.drA.unpersist(); p.drB.unpersist()
     assert(sc.getPersistentRDDs.keySet == before)
+    assert(cacheEntries == entriesBefore)
+  }
+
+  test("endToEnd starts no similarity job before the blocked-negative collect's last job ends") {
+    val p = BlockingExperiments.prepareBlocks(spark, ERDatasets.restFZ(spark))
+    val (result, events) = jobEvents("endToEnd job order")(
+      BlockingExperiments.endToEnd(spark, p, Seq((4, 3), (10, 2)), DeepER.Config(folds = 1, epochs = 1), maxTrainNeg = 500))
+    result.get
+    p.drA.unpersist(); p.drB.unpersist()
+    // The gold, DR and blocked-negative collects, each job started and ended.
+    val others = events.filterNot(_.similarity)
+    assert(others.count(_.started) == others.count(!_.started), events)
+    val firstSimilarity = events.indexWhere(j => j.similarity && j.started)
+    val lastOtherEnd = events.lastIndexWhere(j => !j.similarity && !j.started)
+    assert(firstSimilarity >= 0 && lastOtherEnd >= 0, events)
+    assert(lastOtherEnd < firstSimilarity, events)
+  }
+
+  test("blockedTrainingSet equals collect, filterNot(gold), Random.shuffle and take, bit for bit") {
+    def bits(fs: IndexedSeq[Array[Double]]) = fs.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq)
+    val seed = DeepER.Config().seed
+    for ((ds, maxTrainNeg) <- Seq((ERDatasets.prodAG(spark), 30000), (ERDatasets.restFZ(spark), 2000))) {
+      val p = BlockingExperiments.prepareBlocks(spark, ds)
+      val matches = DeepER.goldMatches(ds)
+      val (feats, labels) = BlockingExperiments.blockedTrainingSet(spark, p, matches, maxTrainNeg, seed)
+      val (refFeats, refLabels) = collectedDraw(p, matches, maxTrainNeg, seed)
+      assert(labels.count(_ == 0.0) == maxTrainNeg, ds.name)
+      assert(labels == refLabels, ds.name)
+      assert(bits(feats) == bits(refFeats), ds.name)
+      p.drA.unpersist(); p.drB.unpersist()
+    }
+  }
+
+  /** The blocked-negative draw as `blockedTrainingSet` made it before its
+    * candidates were decoded into primitive arrays: tuples collected,
+    * `filterNot(gold)`, `Random(seed).shuffle` and `take(maxTrainNeg)`.
+    */
+  private def collectedDraw(p: BlockingExperiments.BlockPrep, matches: IndexedSeq[(Long, Long)], maxTrainNeg: Int,
+      seed: Long): (IndexedSeq[Array[Double]], IndexedSeq[Double]) = {
+    import spark.implicits._
+    val cands = RandomHyperplaneLSH.candidatePairs(
+      spark, p.drA, p.drB, RandomHyperplaneLSH.model(p.dim, 4, 10, seed = 31)).as[(Long, Long)].collect()
+    val (vecsA, vecsB) = (TupleEmbedder.collectVecs(p.drA), TupleEmbedder.collectVecs(p.drB))
+    val gold = matches.toSet
+    val negSample = new scala.util.Random(seed).shuffle(cands.filterNot(gold).toIndexedSeq).take(maxTrainNeg)
+    val pairs = matches.map((_, 1.0)) ++ negSample.map((_, 0.0))
+    (pairs.map { case ((idA, idB), _) => Similarity.cosineVector(vecsA(idA), vecsB(idB)) }, pairs.map(_._2))
+  }
+
+  /** Runs `body` under the job group `group` and returns its result with the
+    * starts and ends of the group's jobs, in the listener bus's order, which
+    * is the order in which the scheduler posted them. The bus is drained
+    * (through perfbench's bridge to Spark's package-private bus) before the
+    * events are read.
+    */
+  private def jobEvents[T](group: String)(body: => T): (Try[T], Seq[JobEvent]) = {
+    val sc = spark.sparkContext
+    val events = mutable.ArrayBuffer.empty[JobEvent]
+    val similarity = mutable.Map.empty[Int, Boolean]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = events.synchronized {
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
+          val sim = Option(e.properties.getProperty("spark.job.description"))
+            .exists(_.startsWith(BlockingExperiments.SimilarityJobs))
+          similarity(e.jobId) = sim
+          events += JobEvent(e.jobId, started = true, sim)
+        }
+      }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = events.synchronized {
+        similarity.get(e.jobId).foreach(sim => events += JobEvent(e.jobId, started = false, sim))
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      // Threads started by endToEnd inherit the caller's job group.
+      sc.setJobGroup(group, group)
+      val result = try Try(body) finally sc.clearJobGroup()
+      org.apache.spark.PerfbenchBus.drain(sc)
+      (result, events.synchronized(events.toList))
+    } finally sc.removeSparkListener(listener)
   }
 
   test("endToEnd without gold matches fails with the dataset's name and leaves no job running") {

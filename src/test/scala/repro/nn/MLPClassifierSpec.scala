@@ -59,6 +59,13 @@ class MLPClassifierSpec extends AnyFunSuite {
         assert(order.toSeq == expected.shuffle((0 until n).toIndexedSeq), s"n=$n seed=$seed")
       }
     }
+    // Figure 11's blocked-negative draw at its Prod-AG size: shuffling the
+    // indices and then indexing equals shuffling the elements.
+    val n = 385486
+    val xs = Vector.tabulate(n)(i => (i.toLong * 7, i.toLong * 13))
+    val order = new Array[Int](n)
+    MLPClassifier.shuffledIndices(new scala.util.Random(7), order)
+    assert(order.iterator.map(xs).toSeq == new scala.util.Random(7).shuffle(xs))
   }
 
   test("predictProb is re-entrant: four threads on one instance agree with one thread") {
