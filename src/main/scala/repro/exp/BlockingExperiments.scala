@@ -37,49 +37,54 @@ object BlockingExperiments {
   }
 
   /** Figure 10: PC and RR of K×L blocking, one (PC, RR) per (K, L) config.
-    * The table sizes are counted once; each config is then one Spark action.
+    * The table sizes are counted once. Each K is then one bucket join, at
+    * its largest L, and one Spark action: a (K, L) config's candidates are
+    * that join's rows whose `table` is below L.
     */
   def sweep(spark: SparkSession, p: BlockPrep, configs: Seq[(Int, Int)]): Seq[(Double, Double)] = {
+    val byK = modelsByK(p, configs)
     val (nA, nB) = (p.ds.nA, p.ds.nB)
-    configs.map { case (k, l) =>
-      val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
+    val measured = byK.flatMap { case (m, ls) =>
       val cands = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq(), mp = 0)
-      RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, nA, nB)
-    }
+      ls.map((m.K, _)).zip(RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, nA, nB, ls))
+    }.toMap
+    configs.map(measured)
   }
 
-  /** Figures 10 and 11 plot two series: K varies at L=10, and L varies at
-    * K=4. `measure` runs once over their distinct (K, L) configs, so the
-    * point both series share is measured once; its results come back per
-    * series, in the order of `ks` and `ls`.
+  /** Each K of `configs`, as its model at its largest L, with its Ls. The
+    * model of every config is drawn (seed 23) before any job, so a bad
+    * (K, L) fails on the driver with [[LSHModel]]'s message. A (K, L)
+    * model is the first L tables of the K's largest, so one bucket join
+    * per K serves every L.
     */
-  def kAndLSeries[T](ks: Seq[Int], ls: Seq[Int])(measure: Seq[(Int, Int)] => Seq[T]): (Seq[T], Seq[T]) = {
-    val (kConfigs, lConfigs) = (ks.map((_, 10)), ls.map((4, _)))
-    val configs = (kConfigs ++ lConfigs).distinct
-    val byConfig = configs.zip(measure(configs)).toMap
-    (kConfigs.map(byConfig), lConfigs.map(byConfig))
-  }
+  private def modelsByK(p: BlockPrep, configs: Seq[(Int, Int)]): Iterable[(LSHModel, Seq[Int])] =
+    configs.distinct.map { case (k, l) => RandomHyperplaneLSH.model(p.dim, k, l, seed = 23) }
+      .groupBy(_.K).values.map(ms => (ms.maxBy(_.L), ms.map(_.L)))
 
   /** Train the DeepER classifier once on blocked pairs, then apply it
     * *distributed* to every blocked candidate pair (Algorithm 4 line 9) and
     * measure end-to-end precision/recall against the gold matches
     * (Figure 11).
     *
-    * The gold matches are collected first, so a dataset without them fails
-    * before any other job starts. Then each (K, L) config gets a
-    * [[DeepER.startFit]] thread. While the caller builds the training set,
+    * Every config's model is drawn, and the gold matches are collected,
+    * before any other job starts, so a bad config fails on the driver and
+    * a dataset without gold matches fails with its name. Then each K gets
+    * a [[DeepER.startFit]] thread, whose bucket join at that K's largest L
+    * serves every L of the K. While the caller builds the training set,
     * the thread builds, caches and plans its similarity layer: the bucket
     * join carries both tuples' per-attribute vectors, and their cosines
-    * ([[Similarity.cosineVector]]) are cached in one partition as `sim`.
-    * It then waits on a gate. The caller opens the gate once
-    * [[blockedTrainingSet]] returns, so no similarity job runs during the
-    * blocked-negative collect: such a job would hold its sort pages beside
-    * that collect's and raise the heap peak. After the gate, each thread
-    * fills its cache while the caller fits the head and picks its
-    * threshold. It then waits for the head, applies it, broadcast, to its
-    * cached `sim` rows in one narrow job, and checks the predicted pairs
-    * against the gold set on the driver. So each config is scored as soon
-    * as its own cache is full, and the rows come back in config order.
+    * ([[Similarity.cosineVector]]) are cached in one partition as `sim`,
+    * beside each pair's `table`. It then waits on a gate. The caller opens
+    * the gate once [[blockedTrainingSet]] returns, so no similarity job
+    * runs during the blocked-negative collect: such a job would hold its
+    * sort pages beside that collect's and raise the heap peak. After the
+    * gate, each thread fills its cache while the caller fits the head and
+    * picks its threshold. It then waits for the head, applies it,
+    * broadcast, to its cached `sim` rows in one narrow job, and collects
+    * the predicted pairs' tables and whether each is a gold match. A
+    * (K, L) config's predictions are the rows whose `table` is below L, so
+    * each config's row is counted from those on the driver, in config
+    * order.
     *
     * If the training set or the head fails, the caller fails the gate or
     * the head, and each thread drops its cache without starting another
@@ -93,45 +98,48 @@ object BlockingExperiments {
       cfg: DeepER.Config = DeepER.Config(folds = 1, epochs = 15),
       maxTrainNeg: Int = 30000,
   ): Seq[(Int, Int, Double, Double)] = {
+    val byK = modelsByK(p, configs)
     val matches = DeepER.goldMatches(p.ds)
     val gold = matches.toSet
     val collected = Promise[Unit]()
     val head = Promise[(UserDefinedFunction, Double)]()
     val cosines = udf { (va: Array[Array[Double]], vb: Array[Array[Double]]) => Similarity.cosineVector(va, vb) }
-    val rows = configs.map { case (k, l) =>
-      DeepER.startFit {
-        spark.sparkContext.setJobDescription(s"$SimilarityJobs ($k, $l)")
-        val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
+    // K -> its predicted pairs' (table, gold match)
+    val predictions = byK.map { case (m, _) =>
+      m.K -> DeepER.startFit {
+        spark.sparkContext.setJobDescription(s"$SimilarityJobs (${m.K}, ${m.L})")
         val sim = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq("vecs"), mp = 0)
-          .select(col("idA"), col("idB"), cosines(col("vecsA"), col("vecsB")).as("sim"))
+          .select(col("idA"), col("idB"), col("table"), cosines(col("vecsA"), col("vecsB")).as("sim"))
           .coalesce(SimilarityPartitions).cache()
         try {
           sim.queryExecution.executedPlan // planned while the caller collects
           Await.result(collected.future, Duration.Inf)
           sim.count()
           val (score, threshold) = Await.result(head.future, Duration.Inf)
-          val predicted = sim.where(score(col("sim")) >= threshold).select("idA", "idB").collect()
-          val tp = predicted.count(r => gold((r.getLong(0), r.getLong(1))))
-          val prec = if (predicted.isEmpty) 0.0 else tp.toDouble / predicted.length
-          (k, l, prec, tp.toDouble / matches.size)
+          sim.where(score(col("sim")) >= threshold).select("idA", "idB", "table").collect()
+            .map(r => (r.getInt(2), gold((r.getLong(0), r.getLong(1)))))
         } finally sim.unpersist()
       }
-    }
+    }.toMap
     try {
       val (feats, labels) = blockedTrainingSet(spark, p, matches, maxTrainNeg, cfg.seed)
       collected.success(())
       val (mlp, threshold) = fitHead(p, feats, labels, cfg)
       val bMlp = spark.sparkContext.broadcast(mlp)
       head.success((udf { (sim: Array[Double]) => bMlp.value.predictProb(sim) }, threshold))
-      rows.map(Await.result(_, Duration.Inf))
+      configs.map { case (k, l) =>
+        val predicted = Await.result(predictions(k), Duration.Inf).filter(_._1 < l)
+        val tp = predicted.count(_._2)
+        (k, l, if (predicted.isEmpty) 0.0 else tp.toDouble / predicted.length, tp.toDouble / matches.size)
+      }
     } finally {
       val failed = new CancellationException("endToEnd failed before scoring; its similarity threads stop")
       Seq(collected, head).foreach(_.tryFailure(failed))
-      rows.foreach(Await.ready(_, Duration.Inf))
+      predictions.values.foreach(Await.ready(_, Duration.Inf))
     }
   }
 
-  /** The job description of `endToEnd`'s similarity and scoring jobs, followed by their (K, L). */
+  /** The job description of `endToEnd`'s similarity and scoring jobs, followed by their K and largest L. */
   private[exp] val SimilarityJobs = "endToEnd similarity"
 
   /** Partitions of each cached similarity frame in `endToEnd`. A cached

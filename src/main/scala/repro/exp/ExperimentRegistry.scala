@@ -28,7 +28,7 @@ final case class Experiment[R](name: String, measure: SparkSession => R, tables:
   * measures its rows, for the bench suites and `repro.jobs.Run`.
   */
 object ExperimentRegistry {
-  import BlockingExperiments.{endToEnd, kAndLSeries, multiProbe, prepareBlocks, sweep}
+  import BlockingExperiments.{endToEnd, multiProbe, prepareBlocks, sweep}
   import Experiments.{ablationCfg, ablationF1, deeperF1, fmtPct, magellanF1, prepare}
 
   /** An experiment that prints the rows of one harness as one table. */
@@ -164,7 +164,8 @@ object ExperimentRegistry {
   }
 
   /** Figure 10: PC and RR on Prod-AG and Pub-DS as K varies at L=10 (a-b)
-    * and as L varies at K=4 (c-d), next to the paper's.
+    * and as L varies at K=4 (c-d), next to the paper's. Both series come
+    * from one `sweep` per dataset, which joins once per K.
     */
   val fig10 = {
     val xs = Seq(1, 2, 4, 6, 8, 10) // the values of K, and of L
@@ -183,7 +184,7 @@ object ExperimentRegistry {
     val pcRr = Seq("PC AG", "PC DS", "PC AG(p)", "PC DS(p)", "RR AG", "RR DS", "RR AG(p)", "RR DS(p)")
     Experiment[(Seq[Seq[String]], Seq[Seq[String]])]("fig10",
       spark => {
-        def series(ds: ERDataset) = kAndLSeries(xs, xs)(sweep(spark, prepareBlocks(spark, ds), _))
+        def series(ds: ERDataset) = sweep(spark, prepareBlocks(spark, ds), xs.map((_, 10)) ++ xs.map((4, _))).splitAt(xs.size)
         val (agK, agL) = series(ERDatasets.prodAG(spark))
         val (dsK, dsL) = series(ERDatasets.pubDS(spark))
         (rows(agK, dsK, kPaper), rows(agL, dsL, lPaper))
@@ -198,13 +199,11 @@ object ExperimentRegistry {
   type EndToEndRows = Seq[(Int, Int, Double, Double)]
 
   /** Both Figure 11 series come from one `endToEnd` call, so the blocked
-    * classifier trains once.
+    * classifier trains once, and the configs of each K share one join.
     */
   val fig11 = Experiment[(EndToEndRows, EndToEndRows)]("fig11",
-    spark => {
-      val p = prepareBlocks(spark, ERDatasets.prodAG(spark))
-      kAndLSeries(Seq(1, 4, 10), Seq(1, 4, 10))(endToEnd(spark, p, _))
-    },
+    spark => endToEnd(spark, prepareBlocks(spark, ERDatasets.prodAG(spark)),
+      Seq((1, 10), (4, 10), (10, 10), (4, 1), (4, 4), (4, 10))).splitAt(3),
     { case (kRows, lRows) =>
       def table(label: String, rows: EndToEndRows) =
         Table(s"Figure 11 ($label) Prod-AG", Seq("K", "L", "precision", "recall"),

@@ -46,11 +46,11 @@ object MultiProbeLSH {
       .withColumn("rank", row_number().over(w))
   }
 
-  /** Recall of the gold matches among the retained candidates (1.0 when
-    * there are none): the pair completeness of `blockingMetrics`.
+  /** Recall of the gold matches among the retained (idA, idB) candidates
+    * (1.0 when there are none): the pair completeness of `blockingMetrics`.
     */
   def recall(candidates: DataFrame, matches: DataFrame): Double =
-    RandomHyperplaneLSH.completeness(candidates, matches)._1
+    RandomHyperplaneLSH.completeness(candidates.withColumn("table", lit(0)), matches, Seq(1)).head._1
 
   /** [[recall]] of [[topNCandidates]] at every N of `topNs`, ranked once: one
     * aggregation of the gold pairs left-joined to their candidates' ranks.

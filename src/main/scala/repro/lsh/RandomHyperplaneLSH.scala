@@ -34,7 +34,10 @@ final case class LSHModel(K: Int, L: Int, dim: Int, planes: Array[Array[Array[Do
 
 object RandomHyperplaneLSH {
 
-  /** Draw K×L random unit-normal hyperplanes, deterministic in `seed`. */
+  /** Draw K×L random unit-normal hyperplanes, deterministic in `seed`. The
+    * tables are drawn one after another, so the (K, L′) model of a seed is
+    * the first L′ tables of its (K, L) model for every L ≥ L′.
+    */
   def model(dim: Int, k: Int, l: Int, seed: Long = 23): LSHModel = {
     val rng = new scala.util.Random(seed)
     LSHModel(k, l, dim,
@@ -68,15 +71,17 @@ object RandomHyperplaneLSH {
 
   /** The bucket join of every blocking experiment: pairs whose codes lie
     * within Hamming distance `mp` in some hash table, each row carrying
-    * `carry` columns of both tuples (suffixed `A`/`B`): (idA, idB,
-    * carryA…, carryB…). At mp = 0 this is Algorithm 4's pair set, that of
-    * `candidatePairs`; at mp = 1 or 2 the A side also probes the nearby
-    * buckets (Algorithm 5).
+    * the first such `table` and the `carry` columns of both tuples
+    * (suffixed `A`/`B`): (idA, idB, table, carryA…, carryB…). At mp = 0
+    * this is Algorithm 4's pair set, that of `candidatePairs`; at mp = 1 or
+    * 2 the A side also probes the nearby buckets (Algorithm 5).
     *
     * Each tuple is signed once into its L codes, and a pair is kept only at
     * the first table where its codes are within `mp`. An A tuple's probe
     * codes within one table are distinct, so the output is already distinct
-    * and needs no `distinct()` or join back for the carried columns.
+    * and needs no `distinct()` or join back for the carried columns. The
+    * candidates of the model's first L′ tables are the rows whose `table`
+    * is below L′.
     */
   def candidatesWith(spark: SparkSession, drA: DataFrame, drB: DataFrame, m: LSHModel,
       carry: Seq[String], mp: Int): DataFrame = {
@@ -89,7 +94,7 @@ object RandomHyperplaneLSH {
     bucketRows(spark, drA, m, "A", carry, mp)
       .join(bucketRows(spark, drB, m, "B", carry, 0), Seq("table", "code"))
       .where(col("table") === firstWithin(col("codesA"), col("codesB")))
-      .select((Seq("idA", "idB") ++ carry.map(_ + "A") ++ carry.map(_ + "B")).map(col): _*)
+      .select((Seq("idA", "idB", "table") ++ carry.map(_ + "A") ++ carry.map(_ + "B")).map(col): _*)
   }
 
   /** One side of the bucket join: each tuple signed once into `codes<s>`
@@ -116,27 +121,30 @@ object RandomHyperplaneLSH {
   }
 
   /** Pair completeness |candidates ∩ gold| / |gold| (1.0 without gold
-    * pairs) and |candidates|, from one aggregation over the full outer
-    * join of the two sets of distinct (idA, idB) pairs: one Spark action.
+    * pairs) and |candidates| of the candidates whose `table` is below L,
+    * for each L of `ls`, from one aggregation over the full outer join of
+    * the distinct (idA, idB, table) candidates with the gold (idA, idB)
+    * pairs: one Spark action.
     */
-  private[lsh] def completeness(candidates: DataFrame, matches: DataFrame): (Double, Long) = {
-    val c = candidates.select(col("idA"), col("idB"), lit(true).as("c"))
+  private[lsh] def completeness(candidates: DataFrame, matches: DataFrame, ls: Seq[Int]): Seq[(Double, Long)] = {
     val g = matches.select(col("idA"), col("idB"), lit(true).as("g"))
-    val r = c.join(g, Seq("idA", "idB"), "full_outer")
-      .agg(count(col("c")), count(col("g")), count(when(col("c") && col("g"), true))).head()
-    val (nCand, nGold, hits) = (r.getLong(0), r.getLong(1), r.getLong(2))
-    (if (nGold == 0) 1.0 else hits.toDouble / nGold, nCand)
+    // |gold|, then |candidates| and |candidates ∩ gold| below each L
+    val r = candidates.select("idA", "idB", "table").join(g, Seq("idA", "idB"), "full_outer").agg(count(col("g")),
+      ls.flatMap(l => Seq(count(when(col("table") < l, true)), count(when(col("table") < l, col("g"))))): _*).head()
+    val nGold = r.getLong(0)
+    ls.indices.map(i => (if (nGold == 0) 1.0 else r.getLong(2 * i + 2).toDouble / nGold, r.getLong(2 * i + 1)))
   }
 
-  /** Blocking-quality metrics of Section 5.4.
+  /** Blocking-quality metrics of Section 5.4 of the candidates whose
+    * `table` is below L, for each L of `ls`: those of the model's first L
+    * tables.
     *
-    * @return (pair completeness, reduction ratio) where
+    * @return (pair completeness, reduction ratio) per L, where
     *         PC = |candidates ∩ gold| / |gold| and
     *         RR = |candidates| / |A × B| (smaller = more reduction, the
     *         paper's Figure-10 convention).
     */
-  def blockingMetrics(candidates: DataFrame, matches: DataFrame, nA: Long, nB: Long): (Double, Double) = {
-    val (pc, nCand) = completeness(candidates, matches)
-    (pc, nCand.toDouble / (nA.toDouble * nB.toDouble))
-  }
+  def blockingMetrics(candidates: DataFrame, matches: DataFrame, nA: Long, nB: Long,
+      ls: Seq[Int]): Seq[(Double, Double)] =
+    completeness(candidates, matches, ls).map { case (pc, nCand) => (pc, nCand.toDouble / (nA.toDouble * nB.toDouble)) }
 }

@@ -31,7 +31,7 @@ class DeterminismSpec extends SparkSpec {
     val f1 = Experiments.deeperF1(p, cfg)
 
     val b = BlockingExperiments.prepareBlocks(spark, ds)
-    val pcRr = BlockingExperiments.sweep(spark, b, Seq((4, 10))).map { case (pc, rr) => (bits(pc), bits(rr)) }
+    val pcRr = BlockingExperiments.sweep(spark, b, Seq((4, 1), (4, 4), (4, 10))).map { case (pc, rr) => (bits(pc), bits(rr)) }
     val m = RandomHyperplaneLSH.model(b.dim, 10, 1, seed = 29)
     val recalls = MultiProbeLSH.recallAtTopN(spark, b.drA, b.drB, m, 2, Seq(1, 5, 20), ds.matches)
     b.drA.unpersist(); b.drB.unpersist()

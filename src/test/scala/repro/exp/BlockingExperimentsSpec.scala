@@ -11,10 +11,12 @@ import repro.data.ERDatasets
 import repro.lsh.RandomHyperplaneLSH
 
 object BlockingExperimentsSpec {
-  /** One start or end of a Spark job, and whether the job is one of
-    * `endToEnd`'s similarity or scoring jobs (by its description).
-    */
-  final case class JobEvent(jobId: Int, started: Boolean, similarity: Boolean)
+  /** One start or end of a Spark job, with the job's description ("" without one). */
+  final case class JobEvent(jobId: Int, started: Boolean, description: String) {
+
+    /** Whether the job is one of `endToEnd`'s similarity or scoring jobs. */
+    def similarity: Boolean = description.startsWith(BlockingExperiments.SimilarityJobs)
+  }
 }
 
 class BlockingExperimentsSpec extends SparkSpec {
@@ -24,7 +26,8 @@ class BlockingExperimentsSpec extends SparkSpec {
     val ds = ERDatasets.restFZ(spark)
     val p = BlockingExperiments.prepareBlocks(spark, ds)
     val cfg = DeepER.Config(folds = 1, epochs = 3)
-    val configs = Seq((1, 2), (4, 3), (10, 2))
+    // (4, 1) is read from the (4, 3) join's first table.
+    val configs = Seq((1, 2), (4, 3), (10, 2), (4, 1))
     val rows = BlockingExperiments.endToEnd(spark, p, configs, cfg, maxTrainNeg = 2000)
 
     // The scoring formula as a chain of joins: deduplicated candidates,
@@ -162,18 +165,17 @@ class BlockingExperimentsSpec extends SparkSpec {
   private def jobEvents[T](group: String)(body: => T): (Try[T], Seq[JobEvent]) = {
     val sc = spark.sparkContext
     val events = mutable.ArrayBuffer.empty[JobEvent]
-    val similarity = mutable.Map.empty[Int, Boolean]
+    val descriptions = mutable.Map.empty[Int, String]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = events.synchronized {
         if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
-          val sim = Option(e.properties.getProperty("spark.job.description"))
-            .exists(_.startsWith(BlockingExperiments.SimilarityJobs))
-          similarity(e.jobId) = sim
-          events += JobEvent(e.jobId, started = true, sim)
+          val description = Option(e.properties.getProperty("spark.job.description")).getOrElse("")
+          descriptions(e.jobId) = description
+          events += JobEvent(e.jobId, started = true, description)
         }
       }
       override def onJobEnd(e: SparkListenerJobEnd): Unit = events.synchronized {
-        similarity.get(e.jobId).foreach(sim => events += JobEvent(e.jobId, started = false, sim))
+        descriptions.get(e.jobId).foreach(d => events += JobEvent(e.jobId, started = false, d))
       }
     }
     sc.addSparkListener(listener)
@@ -210,14 +212,47 @@ class BlockingExperimentsSpec extends SparkSpec {
     p.drA.unpersist(); p.drB.unpersist()
   }
 
-  test("kAndLSeries measures the distinct configs of both series in one call") {
-    var calls = Seq.empty[Seq[(Int, Int)]]
-    val (kSeries, lSeries) = BlockingExperiments.kAndLSeries(Seq(1, 4, 10), Seq(1, 4, 10)) { configs =>
-      calls :+= configs
-      configs.map { case (k, l) => s"$k,$l" }
+  test("sweep over mixed configs equals blockingMetrics on a fresh join per config") {
+    val ds = ERDatasets.restFZ(spark)
+    val p = BlockingExperiments.prepareBlocks(spark, ds)
+    val configs = Seq((1, 10), (4, 1), (4, 4), (4, 10), (4, 10))
+    val expected = configs.map { case (k, l) =>
+      val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
+      val cands = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq(), mp = 0)
+      RandomHyperplaneLSH.blockingMetrics(cands, ds.matches, ds.nA, ds.nB, Seq(l)).head
     }
-    assert(calls == Seq(Seq((1, 10), (4, 10), (10, 10), (4, 1), (4, 4))))
-    assert(kSeries == Seq("1,10", "4,10", "10,10"))
-    assert(lSeries == Seq("4,1", "4,4", "4,10"))
+    assert(BlockingExperiments.sweep(spark, p, configs) == expected)
+    p.drA.unpersist(); p.drB.unpersist()
+  }
+
+  test("sweep and endToEnd reject L = 0 beside a valid L of the same K on the driver, before any job") {
+    val p = BlockingExperiments.prepareBlocks(spark, ERDatasets.restFZ(spark))
+    val configs = Seq((4, 10), (4, 0))
+    val runs = Seq[(String, () => Any)](
+      "sweep" -> (() => BlockingExperiments.sweep(spark, p, configs)),
+      "endToEnd" -> (() => BlockingExperiments.endToEnd(spark, p, configs, DeepER.Config(folds = 1, epochs = 1),
+        maxTrainNeg = 500)))
+    for ((name, run) <- runs) {
+      val (result, events) = jobEvents(s"$name with L = 0")(run())
+      val e = intercept[IllegalArgumentException](result.get)
+      assert(e.getMessage.contains("L must be at least 1, got L = 0"), s"$name: ${e.getMessage}")
+      assert(events.isEmpty, s"$name started jobs: $events")
+    }
+    p.drA.unpersist(); p.drB.unpersist()
+  }
+
+  test("endToEnd runs one similarity join per K, at its largest L; a repeated config returns equal rows") {
+    val p = BlockingExperiments.prepareBlocks(spark, ERDatasets.restFZ(spark))
+    val configs = Seq((4, 1), (4, 4), (4, 10), (10, 10), (4, 4))
+    val (result, events) = jobEvents("endToEnd per K")(
+      BlockingExperiments.endToEnd(spark, p, configs, DeepER.Config(folds = 1, epochs = 1), maxTrainNeg = 500))
+    val rows = result.get
+    p.drA.unpersist(); p.drB.unpersist()
+    assert(events.filter(_.similarity).map(_.description).distinct.sorted ==
+      Seq((10, 10), (4, 10)).map { case (k, l) => s"${BlockingExperiments.SimilarityJobs} ($k, $l)" })
+    assert(rows.map(r => (r._1, r._2)) == configs)
+    assert(rows(4) == rows(1))
+    // A smaller L keeps a subset of the larger L's predictions.
+    assert(rows(0)._4 <= rows(1)._4 && rows(1)._4 <= rows(2)._4, rows)
   }
 }

@@ -28,6 +28,14 @@ class LSHSpec extends SparkSpec {
     assert(math.abs(Linalg.norm(m1.planes(2)(3)) - 1.0) < 1e-9)
   }
 
+  test("model's first l' tables are the tables of the model with L = l' (same dim, K and seed)") {
+    val full = RandomHyperplaneLSH.model(7, 4, 10, seed = 40)
+    for (l <- 1 to 10) {
+      val prefix = RandomHyperplaneLSH.model(7, 4, l, seed = 40)
+      assert(prefix.planes.map(_.map(_.toSeq).toSeq).toSeq == full.planes.take(l).map(_.map(_.toSeq).toSeq).toSeq, s"L = $l")
+    }
+  }
+
   test("model rejects K > 30") {
     val e = intercept[IllegalArgumentException](RandomHyperplaneLSH.model(10, 31, 1))
     assert(e.getMessage.contains("got K = 31"), e.getMessage)
@@ -113,11 +121,13 @@ class LSHSpec extends SparkSpec {
         .withColumnRenamed("id", "idA").withColumnRenamed("table", "tbl")
       val sb = RandomHyperplaneLSH.signatures(spark, b, m)
         .withColumnRenamed("id", "idB").withColumnRenamed("table", "tbl")
-      // The oracle compares rows with multiplicity, so a duplicate pair fails it.
+      // The oracle compares rows with multiplicity, so a duplicate pair
+      // fails it. `table` is the first table where the codes are within mp.
       Oracle.assertEquivalent(
         cands,
-        "SELECT DISTINCT sa.idA AS idA, sb.idB AS idB FROM sa JOIN sb ON sa.tbl = sb.tbl " +
-          s"AND bit_count(xor(CAST(sa.code AS INTEGER), CAST(sb.code AS INTEGER))) <= $mp",
+        "SELECT sa.idA AS idA, sb.idB AS idB, min(CAST(sa.tbl AS INTEGER)) AS \"table\" FROM sa JOIN sb " +
+          s"ON sa.tbl = sb.tbl AND bit_count(xor(CAST(sa.code AS INTEGER), CAST(sb.code AS INTEGER))) <= $mp " +
+          "GROUP BY sa.idA, sb.idB",
         "sa" -> sa, "sb" -> sb)
     }
   }
@@ -143,7 +153,7 @@ class LSHSpec extends SparkSpec {
       assert(r.getAs[Long]("tagA") == idA * 10 + 3)
       assert(r.getAs[Long]("tagB") == idB * 10 + 3)
     }
-    assert(rows.head.schema.fieldNames.toSeq == Seq("idA", "idB", "drA", "tagA", "drB", "tagB"))
+    assert(rows.head.schema.fieldNames.toSeq == Seq("idA", "idB", "table", "drA", "tagA", "drB", "tagB"))
   }
 
   test("candidatesWith of an empty B side has no rows") {
@@ -163,14 +173,14 @@ class LSHSpec extends SparkSpec {
 
   test("blockingMetrics computes PC and RR on a hand-built case") {
     val cands = spark.createDataFrame(
-      spark.sparkContext.parallelize(Seq(Row(0L, 0L), Row(1L, 5L)), 1),
-      StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false))))
+      spark.sparkContext.parallelize(Seq(Row(0L, 0L, 0), Row(1L, 5L, 1)), 1),
+      StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false),
+        StructField("table", IntegerType, false))))
     val gold = spark.createDataFrame(
       spark.sparkContext.parallelize(Seq(Row(0L, 0L), Row(2L, 2L)), 1),
       StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false))))
-    val (pc, rr) = RandomHyperplaneLSH.blockingMetrics(cands, gold, nA = 10, nB = 10)
-    assert(pc == 0.5) // 1 of 2 gold pairs survives
-    assert(rr == 0.02) // 2 of 100 pairs compared
+    // 1 of 2 gold pairs survives in either case; 1 or 2 of 100 pairs are compared.
+    assert(RandomHyperplaneLSH.blockingMetrics(cands, gold, nA = 10, nB = 10, Seq(1, 2)) == Seq((0.5, 0.01), (0.5, 0.02)))
   }
 
   test("completeness gives PC and |candidates| as DuckDB does; blockingMetrics and recall read it") {
@@ -180,19 +190,27 @@ class LSHSpec extends SparkSpec {
       spark.sparkContext.parallelize(ps.map { case (a, b) => Row(a, b) }, 3),
       StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false))))
     val (cands, gold) = (pairs(90), pairs(40))
-    val (c, g) = (pairDf(cands), pairDf(gold))
-    val (pc, nCand) = RandomHyperplaneLSH.completeness(c, g)
-    Oracle.assertEquivalent(
-      spark.createDataFrame(Seq((pc, nCand))).toDF("pc", "candidates"),
-      "SELECT CAST((SELECT count(*) FROM c JOIN g ON c.idA = g.idA AND c.idB = g.idB) AS DOUBLE) / " +
-        "(SELECT count(*) FROM g) AS pc, (SELECT count(*) FROM c) AS candidates",
-      "c" -> c, "g" -> g)
-    val hits = cands.count(gold.toSet)
-    assert(hits > 0 && hits < gold.size, hits)
-    assert((pc, nCand) == (hits.toDouble / gold.size, cands.size.toLong))
-    assert(RandomHyperplaneLSH.blockingMetrics(c, g, nA = 12, nB = 15) ==
-      (hits.toDouble / gold.size, cands.size.toDouble / (12.0 * 15.0)))
-    assert(MultiProbeLSH.recall(c, g) == hits.toDouble / gold.size)
+    val tables = cands.map(_ => rng.nextInt(3))
+    val c = spark.createDataFrame(spark.sparkContext.parallelize(
+      cands.zip(tables).map { case ((a, b), t) => (a, b, t) }, 3)).toDF("idA", "idB", "table")
+    val g = pairDf(gold)
+    val ls = Seq(1, 2, 3)
+    val counts = RandomHyperplaneLSH.completeness(c, g, ls)
+    for ((l, (pc, nCand)) <- ls.zip(counts)) {
+      Oracle.assertEquivalent(
+        spark.createDataFrame(Seq((pc, nCand))).toDF("pc", "candidates"),
+        "SELECT CAST((SELECT count(*) FROM c JOIN g ON c.idA = g.idA AND c.idB = g.idB " +
+          s"WHERE CAST(c.tbl AS INTEGER) < $l) AS DOUBLE) / (SELECT count(*) FROM g) AS pc, " +
+          s"(SELECT count(*) FROM c WHERE CAST(c.tbl AS INTEGER) < $l) AS candidates",
+        "c" -> c.withColumnRenamed("table", "tbl"), "g" -> g)
+      val below = cands.zip(tables).collect { case (pair, t) if t < l => pair }
+      val hits = below.count(gold.toSet)
+      assert(hits > 0 && hits < gold.size, hits)
+      assert((pc, nCand) == (hits.toDouble / gold.size, below.size.toLong))
+    }
+    assert(RandomHyperplaneLSH.blockingMetrics(c, g, nA = 12, nB = 15, ls) ==
+      counts.map { case (pc, nCand) => (pc, nCand.toDouble / (12.0 * 15.0)) })
+    assert(MultiProbeLSH.recall(c.drop("table"), g) == counts.last._1)
   }
 
   test("increasing K reduces RR (Figure 10-b trend)") {
