@@ -13,7 +13,9 @@ import scala.jdk.CollectionConverters._
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
-  * to scalar columns — array/map/struct are not comparable here.
+  * to scalar columns — array/map/struct are not comparable here. Each
+  * loaded table keeps its frame's column names, quoted, so a column may
+  * be named after a keyword (``"table"`` in the query).
   */
 object Oracle {
 
@@ -30,7 +32,7 @@ object Oracle {
           case x                    => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sorted(Ordering.Implicits.seqOrdering[Seq, String])
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
@@ -40,7 +42,7 @@ object Oracle {
       for ((name, df) <- tables) {
         val cols = df.columns
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
+          s"CREATE TABLE $name (${cols.map(c => "\"" + c.replace("\"", "\"\"") + "\" VARCHAR").mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
         val ps = conn.prepareStatement(

@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{DeepER, PRF, Tokenizer}
+import repro.core.{DeepER, PRF}
 import repro.core.DeepER.Prepared
 import repro.core.TupleEmbedder.Tokens
 
@@ -35,9 +35,7 @@ object MagellanLike {
   /** Characters of a value that Jaro-Winkler compares. */
   private val CapLen = 40
 
-  def profile(values: Seq[String]): Profile = profile(values, values.map(Tokenizer.tokenize))
-
-  /** A tuple's profile from its raw values and each value's tokens ([[Tokenizer.tokenize]]). */
+  /** A tuple's profile from its raw values and each value's tokens ([[repro.core.Tokenizer.tokenize]]). */
   def profile(values: Seq[String], toks: Seq[Seq[String]]): Profile =
     Profile(values.zip(toks).map { case (v, t) =>
       AttrProfile(

@@ -27,6 +27,9 @@ object RandomForest {
     def predictProb(x: Array[Double]): Double = trees.map(_.predict(x)).sum / trees.size
   }
 
+  /** The fewest bootstrap rows either side of a split may hold. */
+  private final val MinLeaf = 2
+
   private def gini(pos: Int, n: Int): Double = {
     if (n == 0) 0.0
     else {
@@ -41,12 +44,11 @@ object RandomForest {
       idx: Array[Int],
       depth: Int,
       maxDepth: Int,
-      minLeaf: Int,
       nFeatSample: Int,
       rng: scala.util.Random,
   ): Node = {
     val nPos = idx.count(ys(_) >= 0.5)
-    if (depth >= maxDepth || idx.length < 2 * minLeaf || nPos == 0 || nPos == idx.length)
+    if (depth >= maxDepth || idx.length < 2 * MinLeaf || nPos == 0 || nPos == idx.length)
       return Leaf(if (idx.isEmpty) 0.0 else nPos.toDouble / idx.length)
 
     val nFeat = xs.head.length
@@ -62,7 +64,7 @@ object RandomForest {
         val nl = i + 1
         val nr = sorted.length - nl
         val v = xs(sorted(i))(f); val vNext = xs(sorted(i + 1))(f)
-        if (v != vNext && nl >= minLeaf && nr >= minLeaf) {
+        if (v != vNext && nl >= MinLeaf && nr >= MinLeaf) {
           val imp = (nl * gini(leftPos, nl) + nr * gini(nPos - leftPos, nr)) / sorted.length
           if (imp < parentImp - 1e-12 && best.forall(imp < _._3))
             best = Some((f, (v + vNext) / 2, imp))
@@ -75,8 +77,8 @@ object RandomForest {
       case Some((f, t, _)) =>
         val (l, r) = idx.partition(xs(_)(f) <= t)
         Split(f, t,
-          buildTree(xs, ys, l, depth + 1, maxDepth, minLeaf, nFeatSample, rng),
-          buildTree(xs, ys, r, depth + 1, maxDepth, minLeaf, nFeatSample, rng))
+          buildTree(xs, ys, l, depth + 1, maxDepth, nFeatSample, rng),
+          buildTree(xs, ys, r, depth + 1, maxDepth, nFeatSample, rng))
     }
   }
 
@@ -90,7 +92,6 @@ object RandomForest {
       ys: IndexedSeq[Double],
       nTrees: Int = 20,
       maxDepth: Int = 10,
-      minLeaf: Int = 2,
       negPerPos: Int = 3,
       seed: Long = 31,
   ): Forest = {
@@ -106,7 +107,7 @@ object RandomForest {
       val bootPos = Array.fill(pos.length)(pos(rng.nextInt(pos.length)))
       val nNeg = math.min(neg.length, math.max(1, bootPos.length * negPerPos))
       val bootNeg = Array.fill(nNeg)(neg(rng.nextInt(neg.length)))
-      Tree(buildTree(xs, ys, bootPos ++ bootNeg, 0, maxDepth, minLeaf, nFeatSample, rng))
+      Tree(buildTree(xs, ys, bootPos ++ bootNeg, 0, maxDepth, nFeatSample, rng))
     }
     Forest(trees)
   }

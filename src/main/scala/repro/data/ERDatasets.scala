@@ -17,7 +17,6 @@ final case class ERDataset(
     tableB: DataFrame,
     matches: DataFrame, // columns idA, idB
     forms: Seq[SurfaceForm],
-    easy: Boolean,
 ) {
   def nA: Long = tableA.count()
   def nB: Long = tableB.count()
@@ -103,7 +102,7 @@ object ERDatasets {
     * tables have 8 partitions and the gold `(idA, idB)` pairs 4.
     */
   def assemble(spark: SparkSession, name: String, attrs: Seq[String], aRows: Seq[Seq[String]],
-      bRows: Seq[(Long, Seq[String])], forms: Seq[SurfaceForm], easy: Boolean): ERDataset = {
+      bRows: Seq[(Long, Seq[String])], forms: Seq[SurfaceForm]): ERDataset = {
     val schema = StructType(
       StructField("id", LongType, nullable = false) +:
         attrs.map(a => StructField(a, StringType, nullable = true)))
@@ -112,7 +111,7 @@ object ERDatasets {
     val matchPairs = bRows.zipWithIndex.collect { case ((aId, _), bId) if aId >= 0 => Row(aId, bId.toLong) }
     val matchSchema = StructType(Seq(StructField("idA", LongType, false), StructField("idB", LongType, false)))
     ERDataset(name, attrs, table(aRows), table(bRows.map(_._2)),
-      spark.createDataFrame(spark.sparkContext.parallelize(matchPairs, 4), matchSchema), forms, easy)
+      spark.createDataFrame(spark.sparkContext.parallelize(matchPairs, 4), matchSchema), forms)
   }
 
   /** Generic two-table generator.
@@ -129,7 +128,6 @@ object ERDatasets {
       nB: Int,
       nMatches: Int,
       noise: Noise,
-      easy: Boolean,
       seed: Long,
   ): ERDataset = {
     require(nMatches <= nA && nMatches <= nB, s"$name: matches must fit both tables")
@@ -146,7 +144,7 @@ object ERDatasets {
     }.distinct
 
     assemble(spark, name, attrs, aEntities.map(render(_, attrs)),
-      shuffled.map { case (aId, e) => (aId, render(e, attrs)) }, forms, easy)
+      shuffled.map { case (aId, e) => (aId, render(e, attrs)) }, forms)
   }
 
   private val easyNoise = Noise(synonymRate = 0.12, typoRate = 0.04, dropRate = 0.05, nullifyRate = 0.02)
@@ -163,18 +161,18 @@ object ERDatasets {
   /** DBLP-ACM (easy): 2,616 x 2,294 tuples, 2,224 matches, 4 attrs. */
   def pubDA(spark: SparkSession): ERDataset =
     generate(spark, "Pub-DA", citationAttrs("da", 100), nA = 800, nB = 700, nMatches = 600,
-      easyNoise, easy = true, seed = 101)
+      easyNoise, seed = 101)
 
   /** DBLP-Scholar (easy, noisier source): 2,616 x 64,263, 5,347 matches. */
   def pubDS(spark: SparkSession): ERDataset =
     generate(spark, "Pub-DS", citationAttrs("ds", 200),
       nA = 800, nB = 2400, nMatches = 700,
-      easyNoise.copy(typoRate = 0.08, dropRate = 0.10), easy = true, seed = 202)
+      easyNoise.copy(typoRate = 0.08, dropRate = 0.10), seed = 202)
 
   /** DBLP-Citeseer (easy, large): 1.8M x 2.5M in the paper, scaled down. */
   def pubDC(spark: SparkSession): ERDataset =
     generate(spark, "Pub-DC", citationAttrs("dc", 300), nA = 1500, nB = 2000, nMatches = 1200,
-      easyNoise, easy = true, seed = 303)
+      easyNoise, seed = 303)
 
   /** Amazon-Google (challenging): 1,363 x 3,226, 1,300 matches, 5 attrs. */
   def prodAG(spark: SparkSession): ERDataset =
@@ -184,7 +182,7 @@ object ERDatasets {
       AttrGen("manufacturer", Words(new WordPool("agmf", 80, 3, seed = 402), 1, 2)),
       AttrGen("category",     Words(new WordPool("agca", 30, 2, seed = 403), 1, 1)),
       AttrGen("price",        Numeric(5, 500)),
-    ), nA = 600, nB = 1200, nMatches = 500, hardNoise, easy = false, seed = 404)
+    ), nA = 600, nB = 1200, nMatches = 500, hardNoise, seed = 404)
 
   /** Walmart-Amazon (challenging): 2,554 x 22,074, 1,154 matches, 17 attrs.
     * Spec columns are sparse and disagree heavily between the two stores
@@ -203,7 +201,7 @@ object ERDatasets {
       AttrGen("brand",       Words(new WordPool("wabr", 80, 3, seed = 522), 1, 2)),
       AttrGen("category",    Words(new WordPool("waca", 30, 2, seed = 523), 1, 1)),
       AttrGen("price",       Numeric(5, 800)),
-    ) ++ misc, nA = 800, nB = 2000, nMatches = 500, hardNoise, easy = false, seed = 530)
+    ) ++ misc, nA = 800, nB = 2000, nMatches = 500, hardNoise, seed = 530)
   }
 
   /** Fodors-Zagat (easy, tiny): 533 x 331, 112 matches, 7 attrs. */
@@ -217,8 +215,7 @@ object ERDatasets {
       AttrGen("zipcode", Numeric(10000, 99999, digits = 0)),
       AttrGen("website", Words(new WordPool("fzwe", 200, 1, seed = 604), 1, 1, presence = 0.6)),
     ), nA = 300, nB = 200, nMatches = 110,
-      Noise(synonymRate = 0.06, typoRate = 0.02, dropRate = 0.02, nullifyRate = 0.01),
-      easy = true, seed = 605)
+      Noise(synonymRate = 0.06, typoRate = 0.02, dropRate = 0.02, nullifyRate = 0.01), seed = 605)
 
   /** The six main benchmark datasets of Tables 3–4, in paper order. */
   def all(spark: SparkSession): Seq[ERDataset] =

@@ -18,7 +18,8 @@ import org.apache.spark.sql.SparkSession
 object Nucleotide {
   private val bases = "ACGT"
 
-  final case class NucRecord(id: Long, sequence: String, organism: String, gene: String)
+  /** Organisms in the original benchmark. */
+  private final val NOrganisms = 21
 
   def randomSeq(len: Int, rng: scala.util.Random): String =
     (1 to len).map(_ => bases(rng.nextInt(4))).mkString
@@ -40,20 +41,14 @@ object Nucleotide {
   def kmerize(s: String, k: Int = 4, stride: Int = 2): String =
     (0 to s.length - k by stride).map(i => s.substring(i, i + k)).mkString(" ")
 
-  /** Generate the benchmark as an [[ERDataset]]-shaped pair of tables.
-    *
-    * @param nOrganisms 21 in the original benchmark
-    */
+  /** Generate the benchmark as an [[ERDataset]]-shaped pair of tables. */
   def generate(
       spark: SparkSession,
       nA: Int = 400,
       nB: Int = 500,
       nMatches: Int = 300,
       seqLen: Int = 120,
-      nOrganisms: Int = 21,
       seed: Long = 900,
-      subRate: Double = 0.20,
-      indelRate: Double = 0.10,
   ): ERDataset = {
     val rng = new scala.util.Random(seed)
     // Each organism has a scientific and a common name (lexically
@@ -61,7 +56,7 @@ object Nucleotide {
     // records mention both ("Homo sapiens (human)") — the co-mention is
     // what lets corpus-trained embeddings place the two names together,
     // mirroring how biomedical embeddings learn synonymy.
-    val orgForms = Vector.tabulate(nOrganisms)(i => Vector(s"orgsci$i", s"orgcom$i"))
+    val orgForms = Vector.tabulate(NOrganisms)(i => Vector(s"orgsci$i", s"orgcom$i"))
     val genePool = new WordPool("gene", 60, 2, seed = seed + 1)
     def geneForms(g: Tok): Vector[String] = {
       val c = g.concept.stripPrefix("gene").toInt
@@ -69,13 +64,13 @@ object Nucleotide {
     }
 
     final case class Raw(seq: String, org: Int, gene: Tok)
-    val aRaw = Vector.fill(nA)(Raw(randomSeq(seqLen, rng), rng.nextInt(nOrganisms), genePool.drawToken(rng)))
+    val aRaw = Vector.fill(nA)(Raw(randomSeq(seqLen, rng), rng.nextInt(NOrganisms), genePool.drawToken(rng)))
     val dupes = (0 until nMatches).map { i =>
       val r = aRaw(i)
-      (i.toLong, r.copy(seq = mutate(r.seq, subRate, indelRate, rng)))
+      (i.toLong, r.copy(seq = mutate(r.seq, subRate = 0.20, indelRate = 0.10, rng = rng)))
     }
     val fresh = (0 until (nB - nMatches)).map(_ =>
-      (-1L, Raw(randomSeq(seqLen, rng), rng.nextInt(nOrganisms), genePool.drawToken(rng))))
+      (-1L, Raw(randomSeq(seqLen, rng), rng.nextInt(NOrganisms), genePool.drawToken(rng))))
     val shuffled = rng.shuffle(dupes ++ fresh)
 
     def dualOrSingle(forms: Vector[String]): String =
@@ -85,7 +80,6 @@ object Nucleotide {
     val aRows = aRaw.map(values)
     val bRows = shuffled.map { case (aId, r) => (aId, values(r)) }
     ERDatasets.assemble(spark, "Nucleotide", Seq("sequence", "organism", "gene"), aRows, bRows,
-      forms = Nil, // no pre-trained vocabulary: embeddings are learned from data
-      easy = false)
+      forms = Nil) // no pre-trained vocabulary: embeddings are learned from data
   }
 }

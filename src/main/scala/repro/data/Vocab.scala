@@ -21,7 +21,6 @@ final class WordPool(
     val prefix: String,
     val nConcepts: Int,
     val nForms: Int = 2,
-    val zipfAlpha: Double = 0.9,
     seed: Long = 0,
 ) extends Serializable {
   private val syllables = Vector(
@@ -60,9 +59,9 @@ final class WordPool(
 
   def conceptId(i: Int): String = s"$prefix$i"
 
-  /** Zipf CDF over concept ranks (concept 0 = most frequent). */
+  /** Zipf CDF, exponent 0.9, over concept ranks (concept 0 = most frequent). */
   private val cdf: Array[Double] = {
-    val w = Array.tabulate(nConcepts)(k => 1.0 / math.pow(k + 1.0, zipfAlpha))
+    val w = Array.tabulate(nConcepts)(k => 1.0 / math.pow(k + 1.0, 0.9))
     val total = w.sum
     val c = new Array[Double](nConcepts)
     var acc = 0.0

@@ -28,8 +28,6 @@ final case class EmbeddingDict(dim: Int, vectors: Map[String, Array[Double]],
 
   def lookup(w: String): Array[Double] = vectors.getOrElse(w, unk)
 
-  def size: Int = vectors.size
-
   /** Fraction of `tokens` found in the dictionary (1.0 for empty input). */
   def coverage(tokens: Seq[String]): Double =
     if (tokens.isEmpty) 1.0

@@ -60,17 +60,18 @@ object GloveTrainer {
       .toMap
   }
 
-  /** Fit embeddings from co-occurrence counts with AdaGrad.
+  /** AdaGrad's learning rate. */
+  private final val Lr = 0.05
+
+  /** Fit embeddings from co-occurrence counts with AdaGrad. Each count x is
+    * weighted by f(x) = min(1, (x/10)^0.75), as in the GloVe paper.
     *
-    * @param xmax  weighting-function knee: f(x) = min(1, (x/xmax)^0.75)
     * @return dictionary of `w + w̃` vectors, as in the GloVe paper
     */
   def fit(
       counts: Map[(String, String), Double],
       dim: Int = 50,
       epochs: Int = 30,
-      lr: Double = 0.05,
-      xmax: Double = 10.0,
       seed: Long = 17,
   ): EmbeddingDict = {
     require(counts.nonEmpty, "no co-occurrence counts")
@@ -94,20 +95,20 @@ object GloveTrainer {
       val order = rng.shuffle(entries.indices.toIndexedSeq)
       order.foreach { e =>
         val (i, j, x) = entries(e)
-        val f = math.min(1.0, math.pow(x / xmax, 0.75))
+        val f = math.min(1.0, math.pow(x / 10.0, 0.75))
         val diff = Linalg.dot(w(i), wt(j)) + b(i) + bt(j) - math.log(x)
         val g = f * diff
         var k = 0
         while (k < dim) {
           val dwi = g * wt(j)(k); val dwj = g * w(i)(k)
           gw(i)(k) += dwi * dwi; gwt(j)(k) += dwj * dwj
-          w(i)(k) -= lr * dwi / math.sqrt(gw(i)(k))
-          wt(j)(k) -= lr * dwj / math.sqrt(gwt(j)(k))
+          w(i)(k) -= Lr * dwi / math.sqrt(gw(i)(k))
+          wt(j)(k) -= Lr * dwj / math.sqrt(gwt(j)(k))
           k += 1
         }
         gb(i) += g * g; gbt(j) += g * g
-        b(i) -= lr * g / math.sqrt(gb(i))
-        bt(j) -= lr * g / math.sqrt(gbt(j))
+        b(i) -= Lr * g / math.sqrt(gb(i))
+        bt(j) -= Lr * g / math.sqrt(gbt(j))
       }
     }
     EmbeddingDict(dim, vocab.map(v => v -> Linalg.add(w(idx(v)), wt(idx(v)))).toMap)

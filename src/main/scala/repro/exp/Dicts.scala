@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.Tokenizer
 import repro.data.ERDataset
 import repro.embedding.{EmbeddingDict, Retrofit, SurfaceForm, SyntheticGlove}
 
@@ -48,12 +47,13 @@ object Dicts {
     SyntheticGlove.build(forms, dim, coverage = 0.60, noiseStd = 1.00, seed = 15)
 
   /** Retrofit a dictionary over the dataset's tuple co-occurrence graph
-    * (Section 3.2) — used where the paper says "we used the vocabulary
-    * retroﬁtting to handle words not present in the dictionary".
+    * (Section 3.2), keeping each word's 8 most frequent neighbours — used
+    * where the paper says "we used the vocabulary retroﬁtting to handle
+    * words not present in the dictionary".
     */
-  def retrofitted(spark: SparkSession, dict: EmbeddingDict, ds: ERDataset, maxDegree: Int = 8): EmbeddingDict = {
+  def retrofitted(spark: SparkSession, dict: EmbeddingDict, ds: ERDataset): EmbeddingDict = {
     val edges = Retrofit.cooccurrenceEdges(
-      spark, ds.tableA.unionByName(ds.tableB), ds.attrs, Tokenizer.tokenize, maxDegree)
+      spark, ds.tableA.unionByName(ds.tableB), ds.attrs, maxDegree = 8)
     Retrofit.retrofit(dict, edges, iters = 8)
   }
 }

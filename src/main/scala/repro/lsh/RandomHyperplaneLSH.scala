@@ -16,7 +16,7 @@ import repro.nn.Linalg
   * only in the first table where its codes are within mp, so its output
   * is distinct without a second shuffle.
   */
-final case class LSHModel(K: Int, L: Int, dim: Int, planes: Array[Array[Array[Double]]]) extends Serializable {
+final case class LSHModel(K: Int, L: Int, planes: Array[Array[Array[Double]]]) extends Serializable {
   require(K >= 1 && K <= 30, s"K must be in 1..30 (the code is an Int bitmask), got K = $K")
   require(L >= 1, s"L must be at least 1, got L = $L")
 
@@ -40,7 +40,7 @@ object RandomHyperplaneLSH {
     */
   def model(dim: Int, k: Int, l: Int, seed: Long = 23): LSHModel = {
     val rng = new scala.util.Random(seed)
-    LSHModel(k, l, dim,
+    LSHModel(k, l,
       Array.fill(l, k)(Linalg.unit(Array.fill(dim)(rng.nextGaussian()))))
   }
 

@@ -6,8 +6,10 @@ package repro.nn
   *
   * Parameter groups may carry different learning rates: the paper uses a
   * separate "embeddings update rate" (also 0.01) for end-to-end tuning.
+  * The moment decays and ε are Kingma & Ba's defaults.
   */
-final class Adam(lr: Double = 0.01, beta1: Double = 0.9, beta2: Double = 0.999, eps: Double = 1e-8) {
+final class Adam(lr: Double = 0.01) {
+  import Adam.{Beta1, Beta2, Eps}
 
   final case class Slot(param: Array[Double], grad: Array[Double], lrScale: Double, decay: Boolean) {
     val m: Array[Double] = new Array[Double](param.length)
@@ -39,8 +41,8 @@ final class Adam(lr: Double = 0.01, beta1: Double = 0.9, beta2: Double = 0.999, 
     */
   def step(l2: Double = 0.0, gradScale: Double = 1.0): Unit = {
     t += 1
-    val bc1 = 1.0 - math.pow(beta1, t)
-    val bc2 = 1.0 - math.pow(beta2, t)
+    val bc1 = 1.0 - math.pow(Beta1, t)
+    val bc2 = 1.0 - math.pow(Beta2, t)
     var rest = slots // a while loop, not foreach: no closure per step
     while (rest.nonEmpty) {
       val s = rest.head
@@ -50,12 +52,18 @@ final class Adam(lr: Double = 0.01, beta1: Double = 0.9, beta2: Double = 0.999, 
       var i = 0
       while (i < s.param.length) {
         val g = s.grad(i) * gradScale + wd * s.param(i)
-        s.m(i) = beta1 * s.m(i) + (1 - beta1) * g
-        s.v(i) = beta2 * s.v(i) + (1 - beta2) * g * g
-        s.param(i) -= a * (s.m(i) / bc1) / (math.sqrt(s.v(i) / bc2) + eps)
+        s.m(i) = Beta1 * s.m(i) + (1 - Beta1) * g
+        s.v(i) = Beta2 * s.v(i) + (1 - Beta2) * g * g
+        s.param(i) -= a * (s.m(i) / bc1) / (math.sqrt(s.v(i) / bc2) + Eps)
         s.grad(i) = 0.0
         i += 1
       }
     }
   }
+}
+
+object Adam {
+  private final val Beta1 = 0.9
+  private final val Beta2 = 0.999
+  private final val Eps = 1e-8
 }

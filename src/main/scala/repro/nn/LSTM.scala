@@ -21,7 +21,6 @@ final class LSTMParams(val inDim: Int, val hidDim: Int, seed: Long) extends Seri
   // the cell state, which matters for the short attribute sequences here.
   (hidDim until 2 * hidDim).foreach(b(_) = 1.0)
 
-  def zeroGrads: LSTMGrads = new LSTMGrads(inDim, hidDim)
   def parameters: Seq[Array[Double]] = Seq(W.data, U.data, b)
 }
 

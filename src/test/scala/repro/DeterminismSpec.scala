@@ -41,7 +41,7 @@ class DeterminismSpec extends SparkSpec {
     val docs = tuples.select(flatten(array(ds.attrs.map(a => tok(col(a).cast("string"))): _*)).as("toks"))
     val counts = GloveTrainer.cooccurrenceCounts(spark, docs, "toks", window = 4)
     val glove = GloveTrainer.fit(counts, dim = 8, epochs = 2, seed = 5)
-    val edges = Retrofit.cooccurrenceEdges(spark, tuples, ds.attrs, Tokenizer.tokenize, maxDegree = 3)
+    val edges = Retrofit.cooccurrenceEdges(spark, tuples, ds.attrs, maxDegree = 3)
 
     Seq(drs, p.pairs, bits(f1), pcRr, recalls.map(bits),
       counts.toSeq.sortBy(_._1).map { case (k, x) => k -> bits(x) }, sortedBits(glove.vectors), edges)

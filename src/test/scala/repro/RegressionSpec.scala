@@ -65,8 +65,8 @@ class FormCoverageSpec extends AnyFunSuite {
   test("formCoverage prunes a fraction of surface forms") {
     val full = SyntheticGlove.build(forms, dim = 16, formCoverage = 1.0)
     val half = SyntheticGlove.build(forms, dim = 16, formCoverage = 0.5)
-    assert(full.size == 100)
-    assert(half.size < 85 && half.size > 15)
+    assert(full.vectors.size == 100)
+    assert(half.vectors.size < 85 && half.vectors.size > 15)
   }
 
   test("formCoverage is deterministic in the word and seed") {

@@ -145,34 +145,34 @@ class RandomForestSpec extends AnyFunSuite {
 
 class MagellanLikeSpec extends repro.SparkSpec {
   test("profile precomputes tokens, trigrams and numerics") {
-    val p = MagellanLike.profile(Seq("Hello World", "12.5", null))
+    val p = MagellanLikeSpec.profile(Seq("Hello World", "12.5", null))
     assert(p.attrs(0).toks == Set("hello", "world"))
     assert(p.attrs(1).numeric.contains(12.5))
     assert(p.attrs(2).raw == null && p.attrs(2).toks.isEmpty)
   }
 
   test("features has featuresPerAttr entries per attribute") {
-    val a = MagellanLike.profile(Seq("x", "1.0"))
-    val b = MagellanLike.profile(Seq("x", "2.0"))
+    val a = MagellanLikeSpec.profile(Seq("x", "1.0"))
+    val b = MagellanLikeSpec.profile(Seq("x", "2.0"))
     assert(MagellanLike.features(a, b).length == 2 * MagellanLike.featuresPerAttr)
   }
 
   test("identical tuples get all-maximal string features") {
-    val a = MagellanLike.profile(Seq("acme widget", "10.0"))
+    val a = MagellanLikeSpec.profile(Seq("acme widget", "10.0"))
     val f = MagellanLike.features(a, a)
     assert(f(0) == 1.0 && f(1) >= 0.999 && f(2) == 1.0 && f(3) == 1.0 && f(4) == 1.0 && f(11) == 1.0)
   }
 
   test("disjoint tuples get near-zero features") {
-    val a = MagellanLike.profile(Seq("acme widget"))
-    val b = MagellanLike.profile(Seq("zorp gadget"))
+    val a = MagellanLikeSpec.profile(Seq("acme widget"))
+    val b = MagellanLikeSpec.profile(Seq("zorp gadget"))
     val f = MagellanLike.features(a, b)
     assert(f(0) == 0.0 && f(4) == 0.0)
   }
 
   test("numeric feature reflects relative closeness") {
-    val a = MagellanLike.profile(Seq("100"))
-    val b = MagellanLike.profile(Seq("90"))
+    val a = MagellanLikeSpec.profile(Seq("100"))
+    val b = MagellanLikeSpec.profile(Seq("90"))
     val f = MagellanLike.features(a, b)
     assert(math.abs(f(5) - 0.9) < 1e-9)
   }
@@ -180,14 +180,14 @@ class MagellanLikeSpec extends repro.SparkSpec {
   test("numeric feature is numericSim of the raw values") {
     val values = Seq("100", "90", "-3.5", "0", "0.0", "1e3", "abc", "", null)
     for (a <- values; b <- values) {
-      val f = MagellanLike.features(MagellanLike.profile(Seq(a)), MagellanLike.profile(Seq(b)))
+      val f = MagellanLike.features(MagellanLikeSpec.profile(Seq(a)), MagellanLikeSpec.profile(Seq(b)))
       assert(f(5) == StringSimSpec.numericSim(a, b), s"($a, $b)")
     }
   }
 
   test("features rejects profiles of different arity") {
     intercept[IllegalArgumentException] {
-      MagellanLike.features(MagellanLike.profile(Seq("a")), MagellanLike.profile(Seq("a", "b")))
+      MagellanLike.features(MagellanLikeSpec.profile(Seq("a")), MagellanLikeSpec.profile(Seq("a", "b")))
     }
   }
 
@@ -195,7 +195,7 @@ class MagellanLikeSpec extends repro.SparkSpec {
     val ds = repro.data.ERDatasets.restFZ(spark)
     val p = repro.exp.Experiments.prepare(spark, ds, repro.exp.Dicts.gloveLike(ds.forms), negRatio = 2)
     for ((raw, toks, df) <- Seq((p.rawA, p.toksA, ds.tableA), (p.rawB, p.toksB, ds.tableB))) {
-      val fresh = repro.data.ERDataset.rawValues(df, ds.attrs).map { case (id, vals) => id -> MagellanLike.profile(vals.toSeq) }
+      val fresh = repro.data.ERDataset.rawValues(df, ds.attrs).map { case (id, vals) => id -> MagellanLikeSpec.profile(vals.toSeq) }
       val prepared = MagellanLike.profiles(raw, toks)
       assert(prepared.keySet == fresh.keySet)
       assert(prepared.forall { case (id, prof) => prof.attrs.toSeq == fresh(id).attrs.toSeq })
@@ -215,4 +215,11 @@ class MagellanLikeSpec extends repro.SparkSpec {
     assert(bits(MagellanLike.pairFeatures(profA, profB, pairs.take(3))) == bits(serial.take(3)))
     assert(MagellanLike.pairFeatures(profA, profB, IndexedSeq.empty).isEmpty)
   }
+}
+
+object MagellanLikeSpec {
+
+  /** A tuple's profile from its raw values alone, each tokenized as the preparation does. */
+  def profile(values: Seq[String]): MagellanLike.Profile =
+    MagellanLike.profile(values, values.map(Tokenizer.tokenize))
 }

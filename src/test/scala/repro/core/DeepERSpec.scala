@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.Row
 import repro.SparkSpec
-import repro.baseline.{MagellanLike, RandomForest}
+import repro.baseline.{MagellanLike, MagellanLikeSpec, RandomForest}
 import repro.data.{ERDataset, ERDatasets}
 import repro.embedding.SyntheticGlove
 import repro.exp.{Dicts, Experiments}
@@ -127,7 +127,7 @@ class DeepERSpec extends SparkSpec {
 
       // The serial reference reads each table again and builds every profile from its strings.
       def collectProfiles(df: org.apache.spark.sql.DataFrame) =
-        ERDataset.rawValues(df, ds.attrs).map { case (id, vals) => id -> MagellanLike.profile(vals.toSeq) }
+        ERDataset.rawValues(df, ds.attrs).map { case (id, vals) => id -> MagellanLikeSpec.profile(vals.toSeq) }
       val (profA, profB) = (collectProfiles(ds.tableA), collectProfiles(ds.tableB))
       val feats = p.pairs.map(q => MagellanLike.features(profA(q.a), profB(q.b)))
       val forestFit = (xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Double], s: Long) =>

@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import org.apache.spark.sql.functions._
 
@@ -30,8 +31,20 @@ class ERDatasetsSpec extends SparkSpec {
     assert(wa.attrs.size == 17)
   }
 
+  /** Share of gold pairs whose first attribute (title or name) is the same string on both sides. */
+  private def unchangedShare(ds: ERDataset): Double = {
+    val attr = ds.attrs.head
+    def values(df: DataFrame) = df.select("id", attr).collect().map(r => r.getLong(0) -> r.getString(1)).toMap
+    val (a, b) = (values(ds.tableA), values(ds.tableB))
+    val pairs = ds.matches.collect().map(r => (r.getLong(0), r.getLong(1)))
+    pairs.count { case (i, j) => a(i) == b(j) }.toDouble / pairs.length
+  }
+
   test("easy/challenging split matches the paper's categories") {
-    assert(da.easy && fz.easy && !ag.easy && !wa.easy)
+    // The easy datasets perturb their duplicates less than the challenging ones.
+    val easy = Seq(da, fz).map(unchangedShare)
+    val challenging = Seq(ag, wa).map(unchangedShare)
+    assert(easy.min > challenging.max, s"easy $easy, challenging $challenging")
   }
 
   test("table ids are unique and dense") {
@@ -101,7 +114,7 @@ class ERDatasetsSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       ERDatasets.generate(spark, "bad", Seq(
         ERDatasets.AttrGen("x", ERDatasets.Words(new WordPool("bad", 5), 1, 2))),
-        nA = 2, nB = 2, nMatches = 5, Noise(), easy = true, seed = 1)
+        nA = 2, nB = 2, nMatches = 5, Noise(), seed = 1)
     }
   }
 

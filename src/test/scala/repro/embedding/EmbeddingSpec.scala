@@ -30,7 +30,7 @@ class EmbeddingDictSpec extends AnyFunSuite {
 
   test("++ adds entries and rejects dimension mismatch") {
     val d2 = dict ++ Map("gamma" -> Array(0.0, 0.0, 1.0))
-    assert(d2.contains("gamma") && d2.size == 3)
+    assert(d2.contains("gamma") && d2.vectors.size == 3)
     intercept[IllegalArgumentException](dict ++ Map("bad" -> Array(1.0)))
   }
 
@@ -130,7 +130,7 @@ class RetrofitSpec extends AnyFunSuite {
 
   test("anchored words stay close to their pre-trained vector") {
     val edges = Map("known1" -> Seq("known2"), "known2" -> Seq("known1"))
-    val d = Retrofit.retrofit(base, edges, alpha = 1.0, beta = 1.0)
+    val d = Retrofit.retrofit(base, edges)
     assert(Linalg.cosine(d.lookup("known1"), base.lookup("known1")) > 0.7)
   }
 
@@ -173,7 +173,7 @@ class RetrofitEdgesSpec extends SparkSpec {
     val rows = (0 until 40).map(i => (i.toLong, attr(), attr()))
     val maxDegree = 3
     val edges = Retrofit.cooccurrenceEdges(
-      spark, rows.toDF("id", "a", "b"), Seq("a", "b"), Tokenizer.tokenize, maxDegree)
+      spark, rows.toDF("id", "a", "b"), Seq("a", "b"), maxDegree)
     // (tuple id, token) for each distinct token of a tuple: the oracle's input.
     val toks = rows.flatMap { case (id, a, b) =>
       (Tokenizer.tokenize(a) ++ Tokenizer.tokenize(b)).distinct.map((id, _))

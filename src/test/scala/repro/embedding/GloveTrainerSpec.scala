@@ -81,7 +81,7 @@ class GloveTrainerSpec extends SparkSpec {
     val counts = GloveTrainer.cooccurrenceCounts(spark, docs, "toks")
     val d1 = GloveTrainer.fit(counts, dim = 8, epochs = 5, seed = 4)
     val d2 = GloveTrainer.fit(counts, dim = 8, epochs = 5, seed = 4)
-    assert(d1.size == 6)
+    assert(d1.vectors.size == 6)
     assert(d1.lookup("cat").sameElements(d2.lookup("cat")))
   }
 

@@ -43,6 +43,35 @@ class ExperimentRegistrySpec extends SparkSpec {
     assertGolden(ExperimentRegistry.table3)
   }
 
+  // Table 4 and the nucleotide run fit the Magellan-like random forest, Table 5
+  // retrofits the small dictionary, and the nucleotide run trains GloVe on the
+  // generated k-mers: the only entries that reach RandomForest, Retrofit,
+  // GloveTrainer and Nucleotide.generate. Table 7 and Figures 6 and 7 train
+  // the head with other dictionaries, data, training sizes and labels.
+  test("table4 renders the Table 4 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.table4)
+  }
+
+  test("table5 renders the Table 5 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.table5)
+  }
+
+  test("table7 renders the Table 7 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.table7)
+  }
+
+  test("fig6 renders the Figure 6 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.fig6)
+  }
+
+  test("fig7 renders the Figure 7 block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.fig7)
+  }
+
+  test("nucleotide renders the nucleotide block of the bench output byte for byte") {
+    assertGolden(ExperimentRegistry.nucleotide)
+  }
+
   // The Figure-5 network's numbers: Figure 8 trains averaging with frozen and
   // tuned embeddings, Figure 9 all three compositions. Neither depends on the
   // core count.

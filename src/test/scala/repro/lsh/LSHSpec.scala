@@ -100,13 +100,12 @@ class LSHSpec extends SparkSpec {
     val spark_ = spark
     val cands = RandomHyperplaneLSH.candidatePairs(spark_, a, b, m)
       .orderBy("idA", "idB")
-    val sa = RandomHyperplaneLSH.signatures(spark_, a, m)
-      .withColumnRenamed("id", "idA").withColumnRenamed("table", "tbl")
-    val sb = RandomHyperplaneLSH.signatures(spark_, b, m)
-      .withColumnRenamed("id", "idB").withColumnRenamed("table", "tbl")
+    val sa = RandomHyperplaneLSH.signatures(spark_, a, m).withColumnRenamed("id", "idA")
+    val sb = RandomHyperplaneLSH.signatures(spark_, b, m).withColumnRenamed("id", "idB")
     Oracle.assertEquivalent(
       cands,
-      "SELECT DISTINCT sa.idA AS idA, sb.idB AS idB FROM sa JOIN sb ON sa.tbl = sb.tbl AND sa.code = sb.code ORDER BY idA, idB",
+      "SELECT DISTINCT sa.idA AS idA, sb.idB AS idB FROM sa JOIN sb " +
+        "ON sa.\"table\" = sb.\"table\" AND sa.code = sb.code ORDER BY idA, idB",
       "sa" -> sa, "sb" -> sb)
   }
 
@@ -117,16 +116,14 @@ class LSHSpec extends SparkSpec {
     for (k <- Seq(1, 4); l <- Seq(1, 3); mp <- 0 to 2) {
       val m = RandomHyperplaneLSH.model(6, k, l, seed = 8)
       val cands = RandomHyperplaneLSH.candidatesWith(spark, a, b, m, Seq(), mp)
-      val sa = RandomHyperplaneLSH.signatures(spark, a, m)
-        .withColumnRenamed("id", "idA").withColumnRenamed("table", "tbl")
-      val sb = RandomHyperplaneLSH.signatures(spark, b, m)
-        .withColumnRenamed("id", "idB").withColumnRenamed("table", "tbl")
+      val sa = RandomHyperplaneLSH.signatures(spark, a, m).withColumnRenamed("id", "idA")
+      val sb = RandomHyperplaneLSH.signatures(spark, b, m).withColumnRenamed("id", "idB")
       // The oracle compares rows with multiplicity, so a duplicate pair
       // fails it. `table` is the first table where the codes are within mp.
       Oracle.assertEquivalent(
         cands,
-        "SELECT sa.idA AS idA, sb.idB AS idB, min(CAST(sa.tbl AS INTEGER)) AS \"table\" FROM sa JOIN sb " +
-          s"ON sa.tbl = sb.tbl AND bit_count(xor(CAST(sa.code AS INTEGER), CAST(sb.code AS INTEGER))) <= $mp " +
+        "SELECT sa.idA AS idA, sb.idB AS idB, min(CAST(sa.\"table\" AS INTEGER)) AS \"table\" FROM sa JOIN sb " +
+          s"ON sa.\"table\" = sb.\"table\" AND bit_count(xor(CAST(sa.code AS INTEGER), CAST(sb.code AS INTEGER))) <= $mp " +
           "GROUP BY sa.idA, sb.idB",
         "sa" -> sa, "sb" -> sb)
     }
@@ -200,9 +197,9 @@ class LSHSpec extends SparkSpec {
       Oracle.assertEquivalent(
         spark.createDataFrame(Seq((pc, nCand))).toDF("pc", "candidates"),
         "SELECT CAST((SELECT count(*) FROM c JOIN g ON c.idA = g.idA AND c.idB = g.idB " +
-          s"WHERE CAST(c.tbl AS INTEGER) < $l) AS DOUBLE) / (SELECT count(*) FROM g) AS pc, " +
-          s"(SELECT count(*) FROM c WHERE CAST(c.tbl AS INTEGER) < $l) AS candidates",
-        "c" -> c.withColumnRenamed("table", "tbl"), "g" -> g)
+          s"WHERE CAST(c.\"table\" AS INTEGER) < $l) AS DOUBLE) / (SELECT count(*) FROM g) AS pc, " +
+          s"(SELECT count(*) FROM c WHERE CAST(c.\"table\" AS INTEGER) < $l) AS candidates",
+        "c" -> c, "g" -> g)
       val below = cands.zip(tables).collect { case (pair, t) if t < l => pair }
       val hits = below.count(gold.toSet)
       assert(hits > 0 && hits < gold.size, hits)

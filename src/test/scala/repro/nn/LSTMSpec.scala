@@ -75,7 +75,7 @@ class LSTMSpec extends AnyFunSuite {
     val p = new LSTMParams(3, 4, 5)
     val xs = seq(rng, 6, 3)
     val probe = Array.fill(4)(rng.nextGaussian())
-    val g = p.zeroGrads
+    val g = new LSTMGrads(3, 4)
     LSTM.backward(p, LSTM.forward(p, xs), probe, g)
     def loss() = lossOf(p, xs, probe)
     (0 until p.W.data.length by 5).foreach(i => checkGrad("W", g.dW.data(i), p.W.data, i, loss _))
@@ -88,7 +88,7 @@ class LSTMSpec extends AnyFunSuite {
     val p = new LSTMParams(3, 4, 6)
     val xs = seq(rng, 5, 3)
     val probe = Array.fill(4)(rng.nextGaussian())
-    val dxs = LSTM.backward(p, LSTM.forward(p, xs), probe, p.zeroGrads)
+    val dxs = LSTM.backward(p, LSTM.forward(p, xs), probe, new LSTMGrads(3, 4))
     val h = 1e-6
     for (t <- xs.indices; d <- 0 until 3) {
       val orig = xs(t)(d)
@@ -101,7 +101,7 @@ class LSTMSpec extends AnyFunSuite {
 
   test("backward on empty sequence is a no-op") {
     val p = new LSTMParams(3, 4, 7)
-    val g = p.zeroGrads
+    val g = new LSTMGrads(3, 4)
     val dxs = LSTM.backward(p, LSTM.forward(p, Array.empty), Array.fill(4)(1.0), g)
     assert(dxs.isEmpty)
     assert(g.dW.data.forall(_ == 0.0))
