@@ -5,7 +5,7 @@ import repro.exp.{Experiment, ExperimentRegistry}
 
 /** The spark-submit entrypoint. It runs one experiment of
   * [[repro.exp.ExperimentRegistry]], named by its only argument, and prints
-  * the same tables as the matching bench suite:
+  * its text, the tables that `bench/golden/<name>.txt` records:
   * {{{
   * spark-submit --class repro.jobs.Run target/scala-2.13/repro_2.13-0.1.0-SNAPSHOT.jar table4
   * }}}

@@ -19,8 +19,11 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
+  /** Rows sorted by their cells, each in the order of its case-folded column names. */
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
+    require(cols.map(_.toLowerCase).distinct.size == cols.size,
+      s"column names that differ only in case: ${cols.sorted} — alias them apart")
+    val order = cols.sortBy(_.toLowerCase)
     val idx   = order.map(cols.indexOf)
     rows
       .map(r => idx.map { i =>

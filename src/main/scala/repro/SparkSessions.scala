@@ -2,8 +2,8 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 
-/** The SparkSession of every entry point: the test suites, the bench suites
-  * and `repro.jobs.Run`.
+/** The SparkSession of every entry point: the test suites, the bench and
+  * `repro.jobs.Run`.
   *
   * The master comes from SPARK_MASTER (default `local[*]`), the only
   * variable it reads; shuffles use 64 partitions. Broadcast joins are off,

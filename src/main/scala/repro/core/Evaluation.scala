@@ -34,13 +34,17 @@ object Evaluation {
   /** Stratified K-fold index splits: positives and negatives are split
     * separately so every fold keeps the global class ratio (the paper uses
     * 5-fold CV with a fixed duplicate:non-duplicate ratio). With k < 2 a
-    * training split would be empty, so it is rejected.
+    * training split would be empty, and with fewer than k positives or
+    * negatives a test fold would lack that class and score F1 0, so both
+    * are rejected.
     */
   def stratifiedFolds(labels: IndexedSeq[Double], k: Int, seed: Long): Seq[(Seq[Int], Seq[Int])] = {
     require(k >= 2, s"stratified K-fold CV needs at least 2 folds, got $k")
     val rng = new scala.util.Random(seed)
     val pos = rng.shuffle(labels.indices.filter(labels(_) >= 0.5).toIndexedSeq)
     val neg = rng.shuffle(labels.indices.filter(labels(_) < 0.5).toIndexedSeq)
+    require(pos.size >= k && neg.size >= k,
+      s"stratified $k-fold CV needs at least $k positives and $k negatives, got ${pos.size} and ${neg.size}")
     (0 until k).map { f =>
       val testPos = pos.zipWithIndex.collect { case (i, j) if j % k == f => i }
       val testNeg = neg.zipWithIndex.collect { case (i, j) if j % k == f => i }

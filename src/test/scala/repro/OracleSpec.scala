@@ -19,4 +19,16 @@ class OracleSpec extends SparkSpec {
     val sep = Seq(("a\u0001b", "c"), ("a", "b\u0001c")).toDF("x", "y").coalesce(1)
     Oracle.assertEquivalent(sep, "SELECT x, y FROM t ORDER BY length(x) ASC", "t" -> sep)
   }
+
+  test("assertEquivalent pairs columns by their case-folded names") {
+    val s = spark
+    import s.implicits._
+    // A case-sensitive sort puts B before a on the Spark side, b after a on DuckDB's.
+    val df = Seq((1, 2)).toDF("B", "a")
+    Oracle.assertEquivalent(df, "SELECT \"B\" AS b, a FROM t", "t" -> df)
+    val e = intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(df.select($"a", $"B", $"a".as("A")), "SELECT a, \"B\" AS b FROM t", "t" -> df)
+    }
+    assert(e.getMessage.contains("differ only in case"), e.getMessage)
+  }
 }

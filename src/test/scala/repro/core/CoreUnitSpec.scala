@@ -93,6 +93,17 @@ class EvaluationSpec extends AnyFunSuite {
       assert(test.size == 20)
     }
   }
+  test("stratifiedFolds rejects fewer positives or negatives than folds, naming both counts and k") {
+    // Two positives at five folds would leave three test folds without a
+    // positive, each scored F1 0.
+    val twoPos = IndexedSeq.tabulate(50)(i => if (i < 2) 1.0 else 0.0)
+    val e = intercept[IllegalArgumentException](Evaluation.stratifiedFolds(twoPos, 5, seed = 1))
+    assert(e.getMessage.contains("5-fold CV needs at least 5 positives and 5 negatives, got 2 and 48"), e.getMessage)
+    val fourNeg = IndexedSeq.tabulate(50)(i => if (i < 46) 1.0 else 0.0)
+    val n = intercept[IllegalArgumentException](Evaluation.stratifiedFolds(fourNeg, 5, seed = 1))
+    assert(n.getMessage.contains("got 46 and 4"), n.getMessage)
+    assert(Evaluation.stratifiedFolds(IndexedSeq.tabulate(10)(i => if (i < 5) 1.0 else 0.0), 5, seed = 1).size == 5)
+  }
   test("stratifiedFolds is deterministic in seed") {
     val labels = IndexedSeq.tabulate(30)(i => (i % 3).min(1).toDouble)
     assert(Evaluation.stratifiedFolds(labels, 3, 7) == Evaluation.stratifiedFolds(labels, 3, 7))
