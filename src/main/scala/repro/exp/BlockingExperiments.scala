@@ -1,13 +1,10 @@
 package repro.exp
 
-import java.util.concurrent.CancellationException
-
 import scala.collection.mutable
-import scala.concurrent.{Await, Promise}
+import scala.concurrent.Await
 import scala.concurrent.duration.Duration
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 import repro.core._
 import repro.data.ERDataset
@@ -26,8 +23,7 @@ object BlockingExperiments {
 
   /** Both tables' DRs (`id`, `vecs`, `dr`), distributed and marked for
     * caching. No Spark job runs here: the first job that reads a frame
-    * fills its cache, and a concurrent reader of the same partition waits
-    * on Spark's block lock instead of computing it again.
+    * fills its cache.
     */
   def prepareBlocks(spark: SparkSession, ds: ERDataset): BlockPrep = {
     val dict = Dicts.gloveLike(ds.forms)
@@ -61,35 +57,23 @@ object BlockingExperiments {
     configs.distinct.map { case (k, l) => RandomHyperplaneLSH.model(p.dim, k, l, seed = 23) }
       .groupBy(_.K).values.map(ms => (ms.maxBy(_.L), ms.map(_.L)))
 
-  /** Train the DeepER classifier once on blocked pairs, then apply it
-    * *distributed* to every blocked candidate pair (Algorithm 4 line 9) and
-    * measure end-to-end precision/recall against the gold matches
-    * (Figure 11).
+  /** Figure 11: train the DeepER classifier once on blocked pairs, apply it
+    * *distributed* to every blocked candidate pair (Algorithm 4 line 9), and
+    * measure precision/recall against the gold matches.
     *
-    * Every config's model is drawn, and the gold matches are collected,
-    * before any other job starts, so a bad config fails on the driver and
-    * a dataset without gold matches fails with its name. Then each K gets
-    * a [[DeepER.startFit]] thread, whose bucket join at that K's largest L
-    * serves every L of the K. While the caller builds the training set,
-    * the thread builds, caches and plans its similarity layer: the bucket
-    * join carries both tuples' per-attribute vectors, and their cosines
-    * ([[Similarity.cosineVector]]) are cached in one partition as `sim`,
-    * beside each pair's `table`. It then waits on a gate. The caller opens
-    * the gate once [[blockedTrainingSet]] returns, so no similarity job
-    * runs during the blocked-negative collect: such a job would hold its
-    * sort pages beside that collect's and raise the heap peak. After the
-    * gate, each thread fills its cache while the caller fits the head and
-    * picks its threshold. It then waits for the head, applies it,
-    * broadcast, to its cached `sim` rows in one narrow job, and collects
-    * the predicted pairs' tables and whether each is a gold match. A
-    * (K, L) config's predictions are the rows whose `table` is below L, so
-    * each config's row is counted from those on the driver, in config
-    * order.
-    *
-    * If the training set or the head fails, the caller fails the gate or
-    * the head, and each thread drops its cache without starting another
-    * job. Every thread is awaited, and its cache dropped, before this
-    * returns or throws.
+    * The steps run in order. Every config's model is drawn, so a bad config
+    * fails on the driver, and the gold matches are collected, so a dataset
+    * without them fails with its name. [[blockedTrainingSet]] runs next, so
+    * no similarity job holds sort pages beside its collects. Then one
+    * [[DeepER.startFit]] thread per K fills that K's similarity layer while
+    * the caller fits the head ([[fitHead]]). The layer is the bucket join at
+    * the K's largest L, with each pair's `table` and its cosines
+    * ([[Similarity.cosineVector]]) as `sim`, cached in one partition. For
+    * each K the caller waits for the fill, applies the head, broadcast, to
+    * those rows in one narrow job, and collects the predicted pairs' tables
+    * and gold flags. A (K, L) config's predictions are its K's rows whose
+    * `table` is below L. A fill whose job fails drops its own cache; every
+    * fill is awaited, and its cache dropped, before this returns or throws.
     */
   def endToEnd(
       spark: SparkSession,
@@ -101,53 +85,51 @@ object BlockingExperiments {
     val byK = modelsByK(p, configs)
     val matches = DeepER.goldMatches(p.ds)
     val gold = matches.toSet
-    val collected = Promise[Unit]()
-    val head = Promise[(UserDefinedFunction, Double)]()
+    val (feats, labels) = blockedTrainingSet(spark, p, matches, maxTrainNeg, cfg.seed)
+    val sc = spark.sparkContext
+    def describe(m: LSHModel): Unit = sc.setJobDescription(s"$SimilarityJobs (${m.K}, ${m.L})")
     val cosines = udf { (va: Array[Array[Double]], vb: Array[Array[Double]]) => Similarity.cosineVector(va, vb) }
-    // K -> its predicted pairs' (table, gold match)
-    val predictions = byK.map { case (m, _) =>
-      m.K -> DeepER.startFit {
-        spark.sparkContext.setJobDescription(s"$SimilarityJobs (${m.K}, ${m.L})")
+    val fills = byK.map { case (m, _) =>
+      m -> DeepER.startFit {
+        describe(m)
         val sim = RandomHyperplaneLSH.candidatesWith(spark, p.drA, p.drB, m, Seq("vecs"), mp = 0)
           .select(col("idA"), col("idB"), col("table"), cosines(col("vecsA"), col("vecsB")).as("sim"))
           .coalesce(SimilarityPartitions).cache()
-        try {
-          sim.queryExecution.executedPlan // planned while the caller collects
-          Await.result(collected.future, Duration.Inf)
-          sim.count()
-          val (score, threshold) = Await.result(head.future, Duration.Inf)
-          sim.where(score(col("sim")) >= threshold).select("idA", "idB", "table").collect()
-            .map(r => (r.getInt(2), gold((r.getLong(0), r.getLong(1)))))
-        } finally sim.unpersist()
+        try sim.count() catch { case e: Throwable => sim.unpersist(); throw e }
+        sim
       }
-    }.toMap
+    }
+    val description = sc.getLocalProperty("spark.job.description")
     try {
-      val (feats, labels) = blockedTrainingSet(spark, p, matches, maxTrainNeg, cfg.seed)
-      collected.success(())
       val (mlp, threshold) = fitHead(p, feats, labels, cfg)
-      val bMlp = spark.sparkContext.broadcast(mlp)
-      head.success((udf { (sim: Array[Double]) => bMlp.value.predictProb(sim) }, threshold))
+      val bMlp = sc.broadcast(mlp)
+      val score = udf { (sim: Array[Double]) => bMlp.value.predictProb(sim) }
+      // K -> its predicted pairs' (table, gold match)
+      val predictions = fills.map { case (m, fill) =>
+        val sim = Await.result(fill, Duration.Inf)
+        describe(m)
+        m.K -> sim.where(score(col("sim")) >= threshold).select("idA", "idB", "table").collect()
+          .map(r => (r.getInt(2), gold((r.getLong(0), r.getLong(1)))))
+      }.toMap
       configs.map { case (k, l) =>
-        val predicted = Await.result(predictions(k), Duration.Inf).filter(_._1 < l)
+        val predicted = predictions(k).filter(_._1 < l)
         val tp = predicted.count(_._2)
         (k, l, if (predicted.isEmpty) 0.0 else tp.toDouble / predicted.length, tp.toDouble / matches.size)
       }
     } finally {
-      val failed = new CancellationException("endToEnd failed before scoring; its similarity threads stop")
-      Seq(collected, head).foreach(_.tryFailure(failed))
-      predictions.values.foreach(Await.ready(_, Duration.Inf))
+      sc.setJobDescription(description)
+      fills.foreach { case (_, fill) => Await.ready(fill, Duration.Inf).value.get.foreach(_.unpersist()) }
     }
   }
 
   /** The job description of `endToEnd`'s similarity and scoring jobs, followed by their K and largest L. */
   private[exp] val SimilarityJobs = "endToEnd similarity"
 
-  /** Partitions of each cached similarity frame in `endToEnd`. A cached
-    * plan keeps all its shuffle partitions, because adaptive execution does
-    * not coalesce a cached plan's output: at 64, most of that stage's time
-    * went to GC. A few partitions run as many sort-merge tasks beside the
-    * head's fit, each holding its own 64 MB Tungsten pages, and raise the
-    * heap peak. One partition does neither.
+  /** Partitions of each cached similarity frame in `endToEnd`. Adaptive
+    * execution does not coalesce a cached plan's output, and at 64 most of
+    * that stage's time went to GC. A few partitions run as many sort-merge
+    * tasks beside the head's fit, each with its own 64 MB Tungsten pages,
+    * and raise the heap peak. One partition does neither.
     */
   private val SimilarityPartitions = 1
 
@@ -158,22 +140,17 @@ object BlockingExperiments {
     * (K=4, L=10): the classifier must reject exactly the high-similarity
     * non-matches that share a bucket with true duplicates, at ~10^3
     * negatives per positive — the paper's protocol sample (negatives
-    * below the minimum matched cosine) never shows it those. The sample
-    * shuffles `candidatePairs`' collect order with `seed`, so it must stay
-    * on that `distinct()` plan to keep the recorded results.
+    * below the minimum matched cosine) never shows it those.
     *
-    * The candidates are decoded on the executors into packed id arrays
-    * ([[packedPairs]]), in collect order. The gold pairs are removed by a
-    * search of the sorted gold ids, and [[MLPClassifier.shuffledIndices]]
-    * draws the order with the `nextInt` calls of `Random(seed).shuffle`.
-    * So the sample is that of `collect()`, `filterNot(gold)`, `shuffle`
-    * and `take(maxTrainNeg)`, without a tuple or a boxed `Long` per
-    * candidate.
-    *
-    * Both tables' vectors are collected on [[DeepER.startFit]] threads while
-    * the caller collects the candidates, so the three jobs run at once; both
-    * threads are awaited before this returns or throws. `endToEnd` starts
-    * no similarity job until this returns.
+    * The candidate collect fills both DR caches, which the vector collects
+    * after it read. Its pairs come back as packed ids ([[packedPairs]]) in
+    * collect order, the gold pairs are removed ([[nonGold]]), and
+    * [[MLPClassifier.shuffledIndices]] draws the order with the `nextInt`
+    * calls of `Random(seed).shuffle`. So the sample is that of `collect()`,
+    * `filterNot(gold)`, `shuffle` and `take(maxTrainNeg)`, without a tuple
+    * or a boxed `Long` per candidate. It follows `candidatePairs`'
+    * `distinct()` order, so it must stay on that plan to keep the recorded
+    * results.
     */
   private[exp] def blockedTrainingSet(
       spark: SparkSession,
@@ -183,11 +160,9 @@ object BlockingExperiments {
       seed: Long,
   ): (IndexedSeq[Array[Double]], IndexedSeq[Double]) = {
     require(maxTrainNeg >= 0, s"blockedTrainingSet: maxTrainNeg must be at least 0, got $maxTrainNeg")
-    val (a, b) = (DeepER.startFit(TupleEmbedder.collectVecs(p.drA)), DeepER.startFit(TupleEmbedder.collectVecs(p.drB)))
-    val trainCands = RandomHyperplaneLSH.candidatePairs(
-      spark, p.drA, p.drB, RandomHyperplaneLSH.model(p.dim, 4, 10, seed = 31))
-    val ids = try packedPairs(trainCands) finally Seq(a, b).foreach(Await.ready(_, Duration.Inf))
-    val (vecsA, vecsB) = (Await.result(a, Duration.Inf), Await.result(b, Duration.Inf))
+    val ids = packedPairs(RandomHyperplaneLSH.candidatePairs(
+      spark, p.drA, p.drB, RandomHyperplaneLSH.model(p.dim, 4, 10, seed = 31)))
+    val (vecsA, vecsB) = (TupleEmbedder.collectVecs(p.drA), TupleEmbedder.collectVecs(p.drB))
     val negs = nonGold(ids, matches)
     val order = new Array[Int](negs.length)
     MLPClassifier.shuffledIndices(new scala.util.Random(seed), order)
@@ -235,9 +210,7 @@ object BlockingExperiments {
     keep.result()
   }
 
-  /** `endToEnd`'s Figure-5 head, fitted on the whole training set, and the
-    * threshold that maximises its F1 there.
-    */
+  /** `endToEnd`'s Figure-5 head, fitted on the whole training set, and the threshold that maximises its F1 there. */
   private[exp] def fitHead(p: BlockPrep, feats: IndexedSeq[Array[Double]], labels: IndexedSeq[Double],
       cfg: DeepER.Config): (MLPClassifier, Double) = {
     val mlp = new MLPClassifier(p.ds.attrs.size, cfg.hidden, cfg.seed)

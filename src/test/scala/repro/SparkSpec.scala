@@ -1,7 +1,6 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one SparkSession, from [[SparkSessions]], for the
@@ -11,17 +10,15 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM, or half of MemTotal clamped to 2–8 GB when it is
   * unset.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = SparkSessions.getOrCreate("repro")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output with the session's master, parallelism and
+    // SPARK_DRIVER_MEM; "(unset)" means build.sbt sized the heap from MemTotal.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

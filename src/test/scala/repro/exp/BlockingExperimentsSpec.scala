@@ -92,9 +92,9 @@ class BlockingExperimentsSpec extends SparkSpec {
     assert(filled.diff(before).size == 2)
     assert(cacheEntries == entriesBefore + 2)
 
-    // A negative sample size fails in blockedTrainingSet, after the
-    // similarity threads have cached and planned their queries: they start
-    // no job and drop their caches.
+    // A negative sample size fails in blockedTrainingSet, before any
+    // similarity frame is built: no similarity job starts and no cache is
+    // left behind.
     val (result, events) = jobEvents("endToEnd with maxTrainNeg < 0")(
       BlockingExperiments.endToEnd(spark, p, Seq((4, 3), (10, 2)), cfg, maxTrainNeg = -1))
     val e = intercept[IllegalArgumentException](result.get)
